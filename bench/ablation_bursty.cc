@@ -12,7 +12,7 @@
 
 #include <cstdio>
 
-#include "network/network.h"
+#include "harness/experiment.h"
 #include "routing/clos_ad.h"
 #include "routing/ugal.h"
 #include "routing/valiant.h"
@@ -31,31 +31,24 @@ burstyLatency(const FlattenedButterfly &topo, RoutingAlgorithm &algo,
               double burst)
 {
     NetworkConfig cfg;
-    cfg.numVcs = algo.numVcs();
     cfg.vcDepth = 32 / algo.numVcs();
-    cfg.seed = 2007;
-    Network net(topo, algo, &pattern, cfg);
+    ExperimentConfig expcfg;
+    expcfg.warmupCycles = 1500;
+    expcfg.measureCycles = 1500;
+    expcfg.drainCycles = 6000;
+    expcfg.seed = 2007;
 
     OnOffInjection onoff(load, burst, 1, 99);
     BernoulliInjection bern(load, 1, 99);
-    auto tick = [&](bool measured) {
+    LoadPointHooks hooks;
+    hooks.inject = [&](Network &net, bool measuring) {
         if (burst > 1.0)
-            onoff.tick(net, measured);
+            onoff.tick(net, measuring);
         else
-            bern.tick(net, measured);
-        net.step();
+            bern.tick(net, measuring);
     };
-
-    for (int c = 0; c < 1500; ++c)
-        tick(false);
-    for (int c = 0; c < 1500; ++c)
-        tick(true);
-    for (int c = 0; c < 6000 && net.stats().measuredEjected <
-                                    net.stats().measuredCreated;
-         ++c) {
-        tick(false);
-    }
-    return net.stats().packetLatency.mean();
+    return driveLoadPoint(topo, algo, pattern, cfg, expcfg, hooks)
+        .avgLatency;
 }
 
 } // namespace

@@ -15,8 +15,9 @@
 #include <cstdio>
 #include <vector>
 
-#include "harness/sampler.h"
 #include "network/network.h"
+#include "obs/metrics.h"
+#include "obs/obs_sampler.h"
 #include "routing/clos_ad.h"
 #include "routing/min_adaptive.h"
 #include "routing/ugal.h"
@@ -53,7 +54,8 @@ constexpr int kWindow = 200;
 constexpr int kPhase = 2000;
 constexpr double kLoad = 0.4;
 
-std::vector<Sample>
+/** The run's per-window series (obs.window_latency, obs.backlog). */
+MetricsRegistry
 run(RoutingAlgorithm &algo, const FlattenedButterfly &topo)
 {
     UniformRandom ur(topo.numNodes());
@@ -66,7 +68,8 @@ run(RoutingAlgorithm &algo, const FlattenedButterfly &topo)
     cfg.seed = 2007;
     Network net(topo, algo, &pattern, cfg);
     BernoulliInjection inj(kLoad, 1, 77);
-    TimeSeriesSampler sampler(net, kWindow);
+    MetricsRegistry series;
+    ObsSampler sampler(net, series, kWindow);
 
     for (int c = 0; c < 3 * kPhase; ++c) {
         if (c == kPhase)
@@ -77,7 +80,14 @@ run(RoutingAlgorithm &algo, const FlattenedButterfly &topo)
         net.step();
         sampler.tick();
     }
-    return sampler.samples();
+    return series;
+}
+
+/** Window values of series @p name. */
+const std::vector<double> &
+values(const MetricsRegistry &m, const char *name)
+{
+    return m.findSeries(name)->values;
 }
 
 } // namespace
@@ -96,25 +106,27 @@ main()
                 "%d-cycle window)\n\n",
                 kPhase, 2 * kPhase, kWindow);
 
-    const auto a = run(min_ad, topo);
-    const auto b = run(ugal_s, topo);
-    const auto c = run(clos_ad, topo);
+    const MetricsRegistry runs[] = {run(min_ad, topo),
+                                    run(ugal_s, topo),
+                                    run(clos_ad, topo)};
+    const std::vector<double> &a = values(runs[0], "obs.window_latency");
+    const std::vector<double> &b = values(runs[1], "obs.window_latency");
+    const std::vector<double> &c = values(runs[2], "obs.window_latency");
 
     std::printf("%8s %12s %12s %12s\n", "cycle", "MIN AD", "UGAL-S",
                 "CLOS AD");
     for (std::size_t i = 0; i < a.size(); ++i) {
         std::printf("%8llu %12.1f %12.1f %12.1f\n",
-                    static_cast<unsigned long long>(a[i].start),
-                    a[i].avgLatency, b[i].avgLatency,
-                    c[i].avgLatency);
+                    static_cast<unsigned long long>(i * kWindow), a[i],
+                    b[i], c[i]);
     }
 
     std::printf("\nbacklog at the end of the worst-case phase "
                 "(packets still queued per node):\n");
     const std::size_t end_wc = 2 * kPhase / kWindow - 1;
     std::printf("  MIN AD %.1f   UGAL-S %.2f   CLOS AD %.2f\n",
-                static_cast<double>(a[end_wc].backlog) / 1024.0,
-                static_cast<double>(b[end_wc].backlog) / 1024.0,
-                static_cast<double>(c[end_wc].backlog) / 1024.0);
+                values(runs[0], "obs.backlog")[end_wc] / 1024.0,
+                values(runs[1], "obs.backlog")[end_wc] / 1024.0,
+                values(runs[2], "obs.backlog")[end_wc] / 1024.0);
     return 0;
 }

@@ -28,6 +28,7 @@
 #ifndef FBFLY_BENCH_BENCH_UTIL_H
 #define FBFLY_BENCH_BENCH_UTIL_H
 
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -39,6 +40,10 @@
 #include "harness/result_writer.h"
 #include "harness/sweep.h"
 #include "obs/trace_export.h"
+#include "routing/min_adaptive.h"
+#include "topology/flattened_butterfly.h"
+#include "traffic/injection.h"
+#include "traffic/traffic_pattern.h"
 
 namespace fbfly::bench
 {
@@ -210,6 +215,39 @@ withObs(ExperimentConfig e, const BenchOptions &opt)
         e.obs.metricsEnabled = true;
     }
     return e;
+}
+
+/**
+ * Cycles/second of the bare step loop, timed serially: the
+ * @p k-ary @p n-flat under MIN AD and uniform random traffic with
+ * unlabeled Bernoulli injection at @p load, warmed for @p warmup
+ * untimed cycles, then timed over @p cycles.
+ */
+inline double
+timedStepRate(int k, int n, NetworkConfig cfg, double load, int warmup,
+              int cycles)
+{
+    FlattenedButterfly topo(k, n);
+    MinAdaptive algo(topo);
+    UniformRandom pattern(topo.numNodes());
+    cfg.numVcs = algo.numVcs();
+    Network net(topo, algo, &pattern, cfg);
+    BernoulliInjection inj(load, 1, 7);
+    const auto run = [&](int count) {
+        for (int c = 0; c < count; ++c) {
+            inj.tick(net, false);
+            net.step();
+        }
+    };
+
+    run(warmup); // into steady state
+    const auto t0 = std::chrono::steady_clock::now();
+    run(cycles);
+    const double secs =
+        std::chrono::duration<double>(
+            std::chrono::steady_clock::now() - t0)
+            .count();
+    return secs > 0.0 ? cycles / secs : 0.0;
 }
 
 /** Print the header for a latency/throughput series. */

@@ -50,6 +50,7 @@ main(int argc, char **argv)
 
     NetworkConfig netcfg;
     netcfg.vcDepth = 8; // scaled with the small network
+    netcfg.watchdogCycles = 50000; // churn runs are watchdog-backed
 
     ChurnSweepConfig cfg;
     cfg.threads = opt.threads;
@@ -59,8 +60,8 @@ main(int argc, char **argv)
     // single link loss stays absorbed by adaptive routing.
     cfg.run.recoveryFraction = 0.95;
     if (opt.trace) {
-        cfg.run.obs.traceEnabled = true;
-        cfg.run.obs.metricsEnabled = true;
+        cfg.run.expcfg.obs.traceEnabled = true;
+        cfg.run.expcfg.obs.metricsEnabled = true;
     }
 
     const auto addCase = [&](const std::string &label,
@@ -84,7 +85,7 @@ main(int argc, char **argv)
                 "horizon=%llu cycles\n",
                 topo.name().c_str(),
                 static_cast<unsigned long long>(
-                    cfg.run.horizonCycles));
+                    cfg.run.expcfg.measureCycles));
     std::printf("%-36s %10s %8s %8s %6s\n", "case", "status",
                 "accept", "p99", "oracle");
 
@@ -152,9 +153,10 @@ main(int argc, char **argv)
             return std::string(buf);
         };
         meta.extra = {
-            {"warmup_cycles", std::to_string(cfg.run.warmupCycles)},
+            {"warmup_cycles",
+             std::to_string(cfg.run.expcfg.warmupCycles)},
             {"horizon_cycles",
-             std::to_string(cfg.run.horizonCycles)},
+             std::to_string(cfg.run.expcfg.measureCycles)},
             {"base_load", num(cfg.run.baseLoad)},
             {"peak_load", num(cfg.run.peakLoad)},
             {"diurnal_period",

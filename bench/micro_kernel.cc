@@ -14,54 +14,16 @@
  * land in the metadata object.  See docs/SWEEPS.md.
  */
 
-#include <chrono>
 #include <cstdio>
 
 #include "bench_util.h"
 #include "routing/min_adaptive.h"
 #include "routing/valiant.h"
 #include "topology/flattened_butterfly.h"
-#include "traffic/injection.h"
 #include "traffic/traffic_pattern.h"
 
 using namespace fbfly;
 using namespace fbfly::bench;
-
-namespace
-{
-
-/** Cycles/second of the network step loop at @p load (serial). */
-double
-stepRate(double load)
-{
-    FlattenedButterfly topo(8, 2);
-    MinAdaptive algo(topo);
-    UniformRandom pattern(topo.numNodes());
-    NetworkConfig cfg;
-    cfg.numVcs = algo.numVcs();
-    cfg.vcDepth = 8;
-    Network net(topo, algo, &pattern, cfg);
-    BernoulliInjection inj(load, 1, 7);
-
-    // Warm the network into steady state.
-    for (int c = 0; c < 500; ++c) {
-        inj.tick(net, false);
-        net.step();
-    }
-    constexpr int kCycles = 20000;
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int c = 0; c < kCycles; ++c) {
-        inj.tick(net, false);
-        net.step();
-    }
-    const double secs =
-        std::chrono::duration<double>(
-            std::chrono::steady_clock::now() - t0)
-            .count();
-    return secs > 0.0 ? kCycles / secs : 0.0;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -103,7 +65,9 @@ main(int argc, char **argv)
     std::printf("\n# step-loop kernels (serial)\n");
     std::vector<std::pair<std::string, double>> extra_numbers;
     for (const double load : {0.02, 0.1, 0.5, 0.9}) {
-        const double rate = stepRate(load);
+        NetworkConfig cfg;
+        cfg.vcDepth = 8;
+        const double rate = timedStepRate(8, 2, cfg, load, 500, 20000);
         std::printf("step rate @ load %.2f: %.0f cycles/s\n", load,
                     rate);
         char key[48];

@@ -31,7 +31,6 @@
  * with `xscale_sweep --json BENCH_xscale.json`).
  */
 
-#include <chrono>
 #include <cstdio>
 #include <thread>
 
@@ -39,49 +38,10 @@
 #include "common/rss.h"
 #include "routing/min_adaptive.h"
 #include "topology/flattened_butterfly.h"
-#include "traffic/injection.h"
 #include "traffic/traffic_pattern.h"
 
 using namespace fbfly;
 using namespace fbfly::bench;
-
-namespace
-{
-
-/** Cycles/second of the step loop on the 32-ary 3-flat (32k
- *  terminals) at @p shards, modest load. */
-double
-stepRateAtShards(int shards)
-{
-    FlattenedButterfly topo(32, 3); // 32768 terminals, 1024 routers
-    MinAdaptive algo(topo);
-    UniformRandom pattern(topo.numNodes());
-    NetworkConfig cfg;
-    cfg.numVcs = algo.numVcs();
-    cfg.vcDepth = 4;
-    cfg.shards = shards;
-    Network net(topo, algo, &pattern, cfg);
-    BernoulliInjection inj(0.05, 1, 7);
-
-    // Warm the network into steady state.
-    for (int c = 0; c < 100; ++c) {
-        inj.tick(net, false);
-        net.step();
-    }
-    constexpr int kCycles = 400;
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int c = 0; c < kCycles; ++c) {
-        inj.tick(net, false);
-        net.step();
-    }
-    const double secs =
-        std::chrono::duration<double>(
-            std::chrono::steady_clock::now() - t0)
-            .count();
-    return secs > 0.0 ? kCycles / secs : 0.0;
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -139,7 +99,11 @@ main(int argc, char **argv)
     double rate1 = 0.0;
     double speedup8 = 0.0;
     for (const int shards : {1, 2, 4, 8}) {
-        const double rate = stepRateAtShards(shards);
+        NetworkConfig cfg;
+        cfg.vcDepth = 4;
+        cfg.shards = shards;
+        // Modest load: 100 warm cycles, 400 timed.
+        const double rate = timedStepRate(32, 3, cfg, 0.05, 100, 400);
         if (shards == 1)
             rate1 = rate;
         const double speedup = rate1 > 0.0 ? rate / rate1 : 0.0;

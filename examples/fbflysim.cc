@@ -134,8 +134,10 @@ parse(int argc, char **argv)
     return opt;
 }
 
-/** One load point with optional bursty injection and channel-load
- *  reporting (mirrors runLoadPoint, exposed here for the extras). */
+/** One load point through the shared run driver, with optional
+ *  bursty injection and channel-load reporting (the peak flits per
+ *  cycle any inter-router channel carried in the measurement
+ *  window). */
 LoadPointResult
 runPoint(const Options &opt, const NetworkBundle &bundle,
          const TrafficPattern &pattern, double offered,
@@ -146,7 +148,6 @@ runPoint(const Options &opt, const NetworkBundle &bundle,
     netcfg.vcDepth = std::max(1, opt.buffer / netcfg.numVcs);
     netcfg.packetSize = opt.packet;
     netcfg.channelPeriod = bundle.channelPeriod;
-    netcfg.seed = opt.seed;
 
     ExperimentConfig expcfg;
     expcfg.warmupCycles = opt.warmup;
@@ -154,56 +155,43 @@ runPoint(const Options &opt, const NetworkBundle &bundle,
     expcfg.drainCycles = opt.drain;
     expcfg.seed = opt.seed;
 
-    if (opt.burst <= 0.0 && max_channel_load == nullptr) {
-        return runLoadPoint(*bundle.topology, *bundle.routing,
-                            pattern, netcfg, expcfg, offered);
-    }
-
-    // Custom loop for bursty injection / channel accounting.
-    Network net(*bundle.topology, *bundle.routing, &pattern, netcfg);
-    BernoulliInjection bern(offered, opt.packet, opt.seed ^ 0x777);
+    const std::uint64_t inj_seed = opt.seed ^ kInjectionSeedSalt;
+    BernoulliInjection bern(offered, opt.packet, inj_seed);
     OnOffInjection bursty(offered, std::max(opt.burst, 1.0),
-                          opt.packet, opt.seed ^ 0x777);
-    auto tick = [&](bool measured) {
+                          opt.packet, inj_seed);
+    LoadPointHooks hooks;
+    hooks.inject = [&](Network &net, bool measuring) {
         if (opt.burst > 0.0)
-            bursty.tick(net, measured);
+            bursty.tick(net, measuring);
         else
-            bern.tick(net, measured);
-        net.step();
+            bern.tick(net, measuring);
     };
 
-    for (int c = 0; c < opt.warmup; ++c)
-        tick(false);
-    const auto loads0 = net.interRouterFlitCounts();
-    const std::uint64_t ejected0 = net.stats().flitsEjected;
-    for (int c = 0; c < opt.measure; ++c)
-        tick(true);
-    const std::uint64_t ejected1 = net.stats().flitsEjected;
-    const auto loads1 = net.interRouterFlitCounts();
-
-    LoadPointResult res;
-    res.offered = offered;
-    res.accepted = static_cast<double>(ejected1 - ejected0) /
-                   (static_cast<double>(net.numNodes()) *
-                    opt.measure);
-    bool saturated = false;
-    for (int c = 0; net.stats().measuredEjected <
-                    net.stats().measuredCreated;
-         ++c) {
-        if (c >= opt.drain) {
-            saturated = true;
-            break;
-        }
-        tick(false);
+    // Per-channel flit counts when the measurement window opens and
+    // closes.
+    std::vector<std::uint64_t> loads0, loads1;
+    if (max_channel_load != nullptr) {
+        const Cycle open = static_cast<Cycle>(opt.warmup);
+        const Cycle close = open + static_cast<Cycle>(opt.measure);
+        hooks.afterStep = [&, open, close](Network &net,
+                                           const MetricsRegistry *) {
+            if (net.now() == open)
+                loads0 = net.interRouterFlitCounts();
+            if (net.now() == close)
+                loads1 = net.interRouterFlitCounts();
+        };
     }
-    res.saturated = saturated;
-    res.avgLatency = net.stats().packetLatency.mean();
-    res.avgHops = net.stats().hops.mean();
-    res.measuredPackets = net.stats().measuredEjected;
 
-    if (max_channel_load != nullptr && !loads0.empty()) {
+    LoadPointResult res =
+        driveLoadPoint(*bundle.topology, *bundle.routing, pattern,
+                       netcfg, expcfg, hooks);
+    res.offered = offered;
+
+    if (max_channel_load != nullptr && !loads1.empty()) {
+        // With no warm-up the window opens at cycle 0: zero counts.
+        loads0.resize(loads1.size());
         std::uint64_t peak = 0;
-        for (std::size_t i = 0; i < loads0.size(); ++i)
+        for (std::size_t i = 0; i < loads1.size(); ++i)
             peak = std::max(peak, loads1[i] - loads0[i]);
         *max_channel_load =
             static_cast<double>(peak) / opt.measure;

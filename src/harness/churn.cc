@@ -5,13 +5,9 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <optional>
 #include <sstream>
 
-#include "common/log.h"
-#include "obs/obs_sampler.h"
 #include "routing/switchable.h"
-#include "sim/stats.h"
 #include "traffic/injection.h"
 #include "traffic/traffic_pattern.h"
 
@@ -64,57 +60,34 @@ runChurnPoint(const FlattenedButterfly &topo,
               const TrafficPattern &pattern, const ChurnModel *churn,
               NetworkConfig netcfg, const ChurnRunConfig &cfg)
 {
-    SwitchableRouting algo(topo);
-
-    netcfg.numVcs = algo.numVcs();
-    netcfg.seed = cfg.seed;
-    netcfg.churn = churn;
-    netcfg.watchdogCycles = cfg.watchdogCycles;
-    netcfg.invariantCheckInterval = cfg.invariantCheckInterval;
-
     ChurnPointResult res;
 
-    const ValidationReport rep =
-        Network::validate(topo, algo, netcfg);
-    if (!rep.ok()) {
+    // Mixed-policy VC sharing and escape routing void the analytic
+    // deadlock guarantees, so churn runs are always watchdog-backed.
+    if (netcfg.watchdogCycles == 0) {
         res.load.status = LoadPointStatus::kInvalidConfig;
-        res.load.diagnostics = rep.summary();
+        res.load.diagnostics =
+            "churn runs need the forward-progress watchdog: set "
+            "NetworkConfig::watchdogCycles > 0";
         return res;
     }
 
-    DeliveryOracle oracle;
-    if (cfg.verifyDelivery)
-        netcfg.oracle = &oracle;
-
-    std::shared_ptr<TraceSink> sink;
-    if (cfg.obs.traceEnabled) {
-        sink = std::make_shared<TraceSink>(cfg.obs.traceCapacity);
-        sink->setLevel(cfg.obs.traceLevel);
-        netcfg.trace = sink.get();
-    }
-
-    Network net(topo, algo, &pattern, netcfg);
+    SwitchableRouting algo(topo);
+    netcfg.churn = churn;
 
     // The epoch adaptor reads channel-utilization telemetry, so
     // metrics are force-enabled while adapting, with the sampling
     // window locked to the epoch length (one fresh window per epoch
     // boundary).
     const bool adapting = cfg.epochCycles > 0;
-    std::shared_ptr<MetricsRegistry> metrics;
-    std::optional<ObsSampler> sampler;
-    if (adapting || cfg.obs.metricsEnabled) {
-        metrics = std::make_shared<MetricsRegistry>();
-        sampler.emplace(net, *metrics,
-                        adapting ? cfg.epochCycles
-                                 : cfg.obs.metricsWindowCycles);
+    ExperimentConfig expcfg = cfg.expcfg;
+    if (adapting) {
+        expcfg.obs.metricsEnabled = true;
+        expcfg.obs.metricsWindowCycles = cfg.epochCycles;
     }
-    const auto obsTick = [&sampler] {
-        if (sampler.has_value())
-            sampler->tick();
-    };
 
     BernoulliInjection inj(shapedLoad(cfg, 0), netcfg.packetSize,
-                           cfg.seed ^ 0x496e6a65637431ULL);
+                           expcfg.seed ^ kInjectionSeedSalt);
 
     // Trailing-window delivered-flit tracking for recovery SLOs.
     const std::size_t window = static_cast<std::size_t>(
@@ -137,193 +110,20 @@ runChurnPoint(const FlattenedButterfly &topo,
         churn != nullptr ? churn->events() : noEvents;
     std::size_t evIdx = 0;
 
-    const Cycle warmup = static_cast<Cycle>(cfg.warmupCycles);
-    const Cycle horizonEnd = warmup + cfg.horizonCycles;
+    const Cycle warmup = static_cast<Cycle>(expcfg.warmupCycles);
+    const Cycle horizon = static_cast<Cycle>(expcfg.measureCycles);
+    const Cycle horizonEnd = warmup + horizon;
 
     // Time-average offered load over the horizon (load shape + job
     // batches), for the record's `offered` field.
     double offeredSum = 0.0;
 
-    // Liveness bookkeeping (sim/liveness.h).
-    std::vector<StallDiagnosis> diags;
-    std::vector<RecoveryReport> recs;
-
-    const auto fillObserved = [&](bool drained) {
-        const NetworkStats &st = net.stats();
-        LoadPointResult &r = res.load;
-        r.recoveries = static_cast<int>(recs.size());
-        if (!diags.empty())
-            r.liveness = livenessJson(cfg.liveness, diags, recs);
-        r.measuredPackets = st.measuredEjected;
-        r.measuredDropped = st.measuredDropped;
-        r.flitsDropped = st.flitsDropped;
-        r.link = net.linkStats();
-        if (r.link.attempts > 0) {
-            r.retransmitRate =
-                static_cast<double>(r.link.retransmits) /
-                static_cast<double>(r.link.attempts);
-        }
-        if (cfg.verifyDelivery) {
-            r.delivery = oracle.report(st.measuredDropped, drained,
-                                       algo.preservesFlowOrder());
-            r.deliveryChecked = true;
-            if (!r.delivery.clean()) {
-                FBFLY_WARN("delivery violation under churn: ",
-                           r.delivery.summary());
-            }
-        }
-        if (st.measuredEjected > 0) {
-            r.avgLatency = st.packetLatency.mean();
-            r.avgNetworkLatency = st.networkLatency.mean();
-            r.avgHops = st.hops.mean();
-        }
-        if (st.latencyHist.count() > 0) {
-            r.p99Latency = static_cast<double>(
-                st.latencyHist.percentile(0.99));
-            cs.p999Latency = static_cast<double>(
-                st.latencyHist.percentile(0.999));
-        }
-
-        cs.downEvents = st.churnDownEvents;
-        cs.repairEvents = st.churnRepairEvents;
-        cs.flitsLost = st.churnFlitsLost;
-        cs.packetsLost = st.churnPacketsLost;
-        cs.measuredLost = st.churnMeasuredLost;
-        cs.prunedEpisodes =
-            churn != nullptr ? churn->prunedEpisodes() : 0;
-        cs.routingSwitches = algo.switches();
-        cs.pinnedMinAd =
-            algo.packetsPinned(RouteAlgoId::kMinAdaptive);
-        cs.pinnedUgal = algo.packetsPinned(RouteAlgoId::kUgal);
-        cs.pinnedVal = algo.packetsPinned(RouteAlgoId::kValiant);
-        if (!cs.recoveryCycles.empty()) {
-            double sum = 0.0, mx = 0.0;
-            for (const double v : cs.recoveryCycles) {
-                sum += v;
-                mx = std::max(mx, v);
-            }
-            cs.meanRecoveryCycles =
-                sum / static_cast<double>(cs.recoveryCycles.size());
-            cs.maxRecoveryCycles = mx;
-        }
-
-        if (sampler.has_value())
-            sampler->finish();
-        if (metrics != nullptr) {
-            MetricsRegistry &m = *metrics;
-            m.setCounter("net.flits_injected", st.flitsInjected);
-            m.setCounter("net.flits_ejected", st.flitsEjected);
-            m.setCounter("net.hops_ejected", st.hopsEjected);
-            m.setCounter("net.packets_ejected", st.packetsEjected);
-            m.setCounter("net.measured_created", st.measuredCreated);
-            m.setCounter("net.measured_ejected", st.measuredEjected);
-            m.setCounter("net.flits_dropped", st.flitsDropped);
-            m.setCounter("link.attempts", r.link.attempts);
-            m.setCounter("link.retransmits", r.link.retransmits);
-            m.setCounter("link.crc_rejected", r.link.crcRejected);
-            m.setCounter("link.nacks_sent", r.link.nacksSent);
-            m.setCounter("link.timeouts", r.link.timeouts);
-            if (sink != nullptr) {
-                m.setCounter("trace.recorded", sink->recorded());
-                m.setCounter("trace.dropped",
-                             sink->droppedRecords());
-                for (int t = 0; t < kNumTraceEventTypes; ++t) {
-                    const auto type = static_cast<TraceEventType>(t);
-                    m.setCounter(std::string("trace.") +
-                                     toString(type),
-                                 sink->count(type));
-                }
-            }
-            const DistSummary lat =
-                summarize(st.packetLatency, st.latencyHist);
-            m.setCounter("latency.count", lat.count);
-            m.setGauge("latency.mean", lat.mean);
-            m.setGauge("latency.stddev", lat.stddev);
-            m.setGauge("latency.min", lat.min);
-            m.setGauge("latency.max", lat.max);
-            m.setGauge("latency.p50", lat.p50);
-            m.setGauge("latency.p99", lat.p99);
-            m.setCounter("churn.down_events", cs.downEvents);
-            m.setCounter("churn.repair_events", cs.repairEvents);
-            m.setCounter("churn.flits_lost", cs.flitsLost);
-            m.setCounter("churn.packets_lost", cs.packetsLost);
-            m.setCounter("churn.measured_lost", cs.measuredLost);
-            m.setCounter("route.switches", cs.routingSwitches);
-            m.setCounter("route.pinned_min_ad", cs.pinnedMinAd);
-            m.setCounter("route.pinned_ugal", cs.pinnedUgal);
-            m.setCounter("route.pinned_val", cs.pinnedVal);
-            m.setCounter("recovery.events", cs.recoveryEvents);
-            m.setCounter("recovery.recovered", cs.recoveredEvents);
-            m.setGauge("recovery.mean_cycles",
-                       cs.meanRecoveryCycles);
-            m.setGauge("recovery.max_cycles", cs.maxRecoveryCycles);
-            m.setGauge("latency.p999", cs.p999Latency);
-        }
-        res.load.trace = sink;
-        res.load.metrics = metrics;
-    };
-
-    const auto stalledOut = [&](bool measure_complete,
-                                std::uint64_t ej0,
-                                std::uint64_t ej1) {
-        res.load.status = LoadPointStatus::kStalled;
-        res.load.diagnostics = net.stallDump();
-        if (!diags.empty())
-            res.load.diagnostics += "\n" + diags.back().summary();
-        res.load.saturated = true;
-        fillObserved(false);
-        if (measure_complete) {
-            res.load.accepted =
-                static_cast<double>(ej1 - ej0) /
-                (static_cast<double>(net.numNodes()) *
-                 static_cast<double>(cfg.horizonCycles));
-        }
-        return res;
-    };
-
-    // Stall handling after each service cycle: diagnose, attempt the
-    // configured recovery, abort only when recovery cannot help (see
-    // the twin in runLoadPoint).
-    enum class LivenessOutcome
-    {
-        kContinue,
-        kAbort,
-    };
-    const auto livenessTick = [&]() -> LivenessOutcome {
-        const LivenessConfig &lcfg = cfg.liveness;
-        const bool fired = net.stalled();
-        bool sampled = false;
-        if (!fired) {
-            if (lcfg.samplePeriod == 0 || net.quiescent())
-                return LivenessOutcome::kContinue;
-            const Cycle idle = net.now() - net.lastProgressCycle();
-            if (idle == 0 || idle % lcfg.samplePeriod != 0)
-                return LivenessOutcome::kContinue;
-            sampled = true;
-        }
-        StallDiagnosis diag = analyzeStall(net);
-        if (sampled && diag.cls != StallClass::kDeadlock)
-            return LivenessOutcome::kContinue;
-        diags.push_back(std::move(diag));
-        if (lcfg.policy == RecoveryPolicy::kAbort ||
-            static_cast<int>(recs.size()) >= lcfg.maxRecoveries)
-            return LivenessOutcome::kAbort;
-        const RecoveryReport rep =
-            applyRecovery(net, diags.back(), lcfg.policy);
-        recs.push_back(rep);
-        if (!rep.acted() &&
-            diags.back().cls != StallClass::kKernelBug)
-            return LivenessOutcome::kAbort;
-        return LivenessOutcome::kContinue;
-    };
-
-    // One cycle of the service loop: shaped injection, churn-aware
-    // recovery tracking, epoch-boundary routing adaptation.
-    const auto serviceCycle = [&](bool measuring) {
+    LoadPointHooks hooks;
+    // Shaped injection and job batches; down events firing this cycle
+    // capture the pre-event trailing throughput as the recovery
+    // target.
+    hooks.inject = [&](Network &net, bool measuring) {
         const Cycle t = net.now();
-
-        // Down events firing this cycle: capture the pre-event
-        // trailing throughput as the recovery target.
         while (evIdx < events.size() && events[evIdx].at <= t) {
             const ServiceEvent &ev = events[evIdx++];
             if (ev.isDown() && t >= warmup && t < horizonEnd) {
@@ -342,10 +142,10 @@ runChurnPoint(const FlattenedButterfly &topo,
         if (cfg.jobPeriod > 0 && cfg.jobPacketsPerNode > 0 &&
             t > 0 && t % cfg.jobPeriod == 0)
             loadBatch(net, cfg.jobPacketsPerNode, measuring);
-
-        net.step();
-        obsTick();
-
+    };
+    // Recovery tracking and epoch-boundary routing adaptation.
+    hooks.afterStep = [&](Network &net,
+                          const MetricsRegistry *metrics) {
         // Advance the trailing delivered-flit window.
         const std::uint64_t ej = net.stats().flitsEjected;
         windowEjected -= ejRing[ringPos];
@@ -391,63 +191,68 @@ runChurnPoint(const FlattenedButterfly &topo,
             }
         }
     };
-
-    // Unmeasured warm-up under the load shape (churn already live).
-    for (Cycle c = 0; c < warmup; ++c) {
-        serviceCycle(false);
-        if (livenessTick() == LivenessOutcome::kAbort)
-            return stalledOut(false, 0, 0);
-    }
-
-    // The measured service horizon: every injected packet labeled.
-    const std::uint64_t ejected0 = net.stats().flitsEjected;
-    for (Cycle c = 0; c < cfg.horizonCycles; ++c) {
-        serviceCycle(true);
-        if (livenessTick() == LivenessOutcome::kAbort)
-            return stalledOut(false, 0, 0);
-    }
-    const std::uint64_t ejected1 = net.stats().flitsEjected;
-
-    // Drain: background (unmeasured) traffic continues, pending
-    // repairs keep arriving, until every labeled packet delivered or
-    // accounted as dropped.
-    bool saturated = false;
-    for (int drained = 0;
-         net.stats().measuredEjected + net.stats().measuredDropped <
-         net.stats().measuredCreated;
-         ++drained) {
-        if (drained >= cfg.drainCycles) {
-            saturated = true;
-            break;
+    // The churn extension of the result and its metrics.
+    hooks.finish = [&](const Network &net, MetricsRegistry *m) {
+        const NetworkStats &st = net.stats();
+        if (st.latencyHist.count() > 0) {
+            cs.p999Latency = static_cast<double>(
+                st.latencyHist.percentile(0.999));
         }
-        serviceCycle(false);
-        if (livenessTick() == LivenessOutcome::kAbort)
-            return stalledOut(true, ejected0, ejected1);
-    }
+        cs.downEvents = st.churnDownEvents;
+        cs.repairEvents = st.churnRepairEvents;
+        cs.flitsLost = st.churnFlitsLost;
+        cs.packetsLost = st.churnPacketsLost;
+        cs.measuredLost = st.churnMeasuredLost;
+        cs.prunedEpisodes =
+            churn != nullptr ? churn->prunedEpisodes() : 0;
+        cs.routingSwitches = algo.switches();
+        cs.pinnedMinAd =
+            algo.packetsPinned(RouteAlgoId::kMinAdaptive);
+        cs.pinnedUgal = algo.packetsPinned(RouteAlgoId::kUgal);
+        cs.pinnedVal = algo.packetsPinned(RouteAlgoId::kValiant);
+        if (!cs.recoveryCycles.empty()) {
+            double sum = 0.0, mx = 0.0;
+            for (const double v : cs.recoveryCycles) {
+                sum += v;
+                mx = std::max(mx, v);
+            }
+            cs.meanRecoveryCycles =
+                sum / static_cast<double>(cs.recoveryCycles.size());
+            cs.maxRecoveryCycles = mx;
+        }
+        if (m == nullptr)
+            return;
+        m->setCounter("churn.down_events", cs.downEvents);
+        m->setCounter("churn.repair_events", cs.repairEvents);
+        m->setCounter("churn.flits_lost", cs.flitsLost);
+        m->setCounter("churn.packets_lost", cs.packetsLost);
+        m->setCounter("churn.measured_lost", cs.measuredLost);
+        m->setCounter("route.switches", cs.routingSwitches);
+        m->setCounter("route.pinned_min_ad", cs.pinnedMinAd);
+        m->setCounter("route.pinned_ugal", cs.pinnedUgal);
+        m->setCounter("route.pinned_val", cs.pinnedVal);
+        m->setCounter("recovery.events", cs.recoveryEvents);
+        m->setCounter("recovery.recovered", cs.recoveredEvents);
+        m->setGauge("recovery.mean_cycles", cs.meanRecoveryCycles);
+        m->setGauge("recovery.max_cycles", cs.maxRecoveryCycles);
+        m->setGauge("latency.p999", cs.p999Latency);
+    };
 
-    fillObserved(!saturated);
+    res.load =
+        driveLoadPoint(topo, algo, pattern, netcfg, expcfg, hooks);
+    // A run that never finished its schedule reports no offered load.
+    if (res.load.status == LoadPointStatus::kStalled ||
+        res.load.status == LoadPointStatus::kInvalidConfig)
+        return res;
     res.load.offered =
-        cfg.horizonCycles > 0
-            ? offeredSum / static_cast<double>(cfg.horizonCycles) +
+        horizon > 0
+            ? offeredSum / static_cast<double>(horizon) +
                   (cfg.jobPeriod > 0
                        ? static_cast<double>(cfg.jobPacketsPerNode *
                                              netcfg.packetSize) /
                              static_cast<double>(cfg.jobPeriod)
                        : 0.0)
             : 0.0;
-    res.load.accepted =
-        static_cast<double>(ejected1 - ejected0) /
-        (static_cast<double>(net.numNodes()) *
-         static_cast<double>(cfg.horizonCycles));
-    res.load.saturated = saturated;
-    if (saturated)
-        res.load.status = LoadPointStatus::kSaturated;
-    else if (!recs.empty())
-        res.load.status = LoadPointStatus::kDeadlockRecovered;
-    else if (net.stats().measuredDropped > 0)
-        res.load.status = LoadPointStatus::kUnreachable;
-    else
-        res.load.status = LoadPointStatus::kDelivered;
     return res;
 }
 
@@ -501,14 +306,14 @@ runChurnSweep(const FlattenedButterfly &topo,
                 derivePointSeed(cfg.masterSeed, i);
 
             ChurnRunConfig rc = cfg.run;
-            rc.seed = pseed;
+            rc.expcfg.seed = pseed;
 
             // The churn schedule runs on absolute cycles; cover the
             // warm-up and the measured horizon (repairs for any
             // still-open episode land during the drain).
             ChurnConfig cc = cfg.cases[i].churn;
-            cc.horizon = static_cast<Cycle>(rc.warmupCycles) +
-                         rc.horizonCycles;
+            cc.horizon = static_cast<Cycle>(rc.expcfg.warmupCycles) +
+                         static_cast<Cycle>(rc.expcfg.measureCycles);
             cc.seed = pseed ^ 0x436875726e4d646cULL; // "ChurnMdl"
             const ChurnModel model(topo, cc);
 

@@ -52,18 +52,29 @@ class TrafficPattern;
  */
 struct ChurnRunConfig
 {
-    /** @name Phasing @{ */
-    /** Unmeasured warm-up cycles before the horizon.  The churn
-     *  schedule runs on absolute cycles, so size the ChurnModel
-     *  horizon as warmupCycles + horizonCycles. */
-    int warmupCycles = 1000;
-    /** Measured service horizon: every packet injected during these
-     *  cycles is labeled. */
-    Cycle horizonCycles = 20000;
-    /** Drain bound after the horizon (labeled packets still inside
-     *  at the bound => saturated). */
-    int drainCycles = 100000;
-    /** @} */
+    /**
+     * Phasing, seed, delivery audit, observability and liveness, as
+     * for any load point (harness/experiment.h).  measureCycles is
+     * the measured service horizon: every packet injected during it
+     * is labeled.  The churn schedule runs on absolute cycles, so
+     * size the ChurnModel horizon as warmupCycles + measureCycles.
+     * Metrics are force-enabled when epochCycles > 0 (the adaptor
+     * reads them).  Churn runs default to kEscapeDrain liveness:
+     * repairs already re-decide routes, so a lossless re-decide is
+     * the natural first response to a watchdog fire, and the
+     * classifier escalates a genuine cyclic deadlock through the
+     * same reporting path.  The watchdog itself is
+     * NetworkConfig::watchdogCycles, which must be > 0.
+     */
+    ExperimentConfig expcfg{
+        .warmupCycles = 1000,
+        .measureCycles = 20000,
+        .drainCycles = 100000,
+        .seed = 2007,
+        .verifyDelivery = true,
+        .obs = {},
+        .liveness = {RecoveryPolicy::kEscapeDrain},
+    };
 
     /** @name Load shape @{ */
     /** Offered-load floor, flits/node/cycle. */
@@ -102,27 +113,6 @@ struct ChurnRunConfig
      *  flits return to this fraction of their pre-event level. */
     double recoveryFraction = 0.7;
     /** @} */
-
-    /** Per-run master seed. */
-    std::uint64_t seed = 2007;
-    /** Audit end-to-end delivery across every transition. */
-    bool verifyDelivery = true;
-    /** Forward-progress watchdog bound for the run (mixed-policy VC
-     *  sharing and escape routing void the analytic deadlock
-     *  guarantees, so churn runs are always watchdog-backed). */
-    Cycle watchdogCycles = 50000;
-    /** Run conservation invariant checks every N cycles (0: off). */
-    Cycle invariantCheckInterval = 0;
-    /** Observability collection (metrics are force-enabled when
-     *  epochCycles > 0 — the adaptor reads them). */
-    ObsConfig obs;
-
-    /** Stall diagnosis & recovery (sim/liveness.h).  Churn runs
-     *  default to kEscapeDrain: repairs already re-decide routes, so
-     *  a lossless re-decide is the natural first response to a
-     *  watchdog fire, and the classifier escalates a genuine cyclic
-     *  deadlock through the same reporting path. */
-    LivenessConfig liveness{RecoveryPolicy::kEscapeDrain};
 };
 
 /**
@@ -187,7 +177,9 @@ struct ChurnPointResult
  * @param churn   churn schedule, or nullptr for a churn-free run of
  *                the same harness (the zero-churn determinism
  *                fixture).  Must be built over @p topo.
- * @param netcfg  network knobs (numVcs/seed are overridden).
+ * @param netcfg  network knobs (numVcs/seed are overridden);
+ *                watchdogCycles must be > 0, else the run returns
+ *                kInvalidConfig.
  * @param cfg     phasing / load-shape / adaptation / SLO knobs.
  */
 ChurnPointResult runChurnPoint(const FlattenedButterfly &topo,
@@ -202,7 +194,7 @@ struct ChurnCase
     /** Series label, e.g. "churn mtbf=4000". */
     std::string label;
     /** MTBF/MTTR rates; horizon/seed are filled per point by the
-     *  sweep (horizon = warmup + horizon cycles, seed derived from
+     *  sweep (horizon = warmup + measure cycles, seed derived from
      *  the point index). */
     ChurnConfig churn;
 };
@@ -214,7 +206,8 @@ struct ChurnSweepConfig
     int threads = 1;
     /** Master seed; per-point seeds derive from it by index. */
     std::uint64_t masterSeed = 2007;
-    /** Shared run knobs (per-point seed overrides run.seed). */
+    /** Shared run knobs (per-point seed overrides
+     *  run.expcfg.seed). */
     ChurnRunConfig run;
     /** The churn intensities to sweep. */
     std::vector<ChurnCase> cases;

@@ -34,15 +34,15 @@ toString(LoadPointStatus s)
 }
 
 LoadPointResult
-runLoadPoint(const Topology &topo, RoutingAlgorithm &algo,
-             const TrafficPattern &pattern, NetworkConfig netcfg,
-             const ExperimentConfig &expcfg, double offered)
+driveLoadPoint(const Topology &topo, RoutingAlgorithm &algo,
+               const TrafficPattern &pattern, NetworkConfig netcfg,
+               const ExperimentConfig &expcfg,
+               const LoadPointHooks &hooks)
 {
     netcfg.numVcs = algo.numVcs();
     netcfg.seed = expcfg.seed;
 
     LoadPointResult res;
-    res.offered = offered;
 
     // Pre-flight: refuse to run configurations that would corrupt or
     // hang the simulation.
@@ -77,13 +77,6 @@ runLoadPoint(const Topology &topo, RoutingAlgorithm &algo,
         sampler.emplace(net, *metrics,
                         expcfg.obs.metricsWindowCycles);
     }
-    const auto obsTick = [&sampler] {
-        if (sampler.has_value())
-            sampler->tick();
-    };
-
-    BernoulliInjection inj(offered, netcfg.packetSize,
-                           expcfg.seed ^ 0x496e6a65637431ULL);
 
     // Liveness bookkeeping: every diagnosis made and every recovery
     // applied during this run (sim/liveness.h).
@@ -110,8 +103,7 @@ runLoadPoint(const Topology &topo, RoutingAlgorithm &algo,
                               algo.preservesFlowOrder());
             res.deliveryChecked = true;
             if (!res.delivery.clean()) {
-                FBFLY_WARN("end-to-end delivery violation at "
-                           "offered=", offered, ": ",
+                FBFLY_WARN("end-to-end delivery violation: ",
                            res.delivery.summary());
             }
         }
@@ -172,12 +164,21 @@ runLoadPoint(const Topology &topo, RoutingAlgorithm &algo,
                                         ? st.hops.mean()
                                         : LoadPointResult::kUnknown);
         }
+        if (hooks.finish)
+            hooks.finish(net, metrics.get());
         res.recoveries = static_cast<int>(recs.size());
         if (!diags.empty())
             res.liveness =
                 livenessJson(expcfg.liveness, diags, recs);
         res.trace = sink;
         res.metrics = metrics;
+    };
+
+    // Accepted throughput over the measurement window.
+    const auto acceptedRate = [&](std::uint64_t ej0, std::uint64_t ej1) {
+        return static_cast<double>(ej1 - ej0) /
+               (static_cast<double>(net.numNodes()) *
+                expcfg.measureCycles);
     };
 
     // measure_complete: the measurement window closed, so accepted
@@ -190,12 +191,8 @@ runLoadPoint(const Topology &topo, RoutingAlgorithm &algo,
             res.diagnostics += "\n" + diags.back().summary();
         res.saturated = true; // no labeled packet will ever leave
         fillObserved(false);
-        if (measure_complete) {
-            res.accepted =
-                static_cast<double>(ej1 - ej0) /
-                (static_cast<double>(net.numNodes()) *
-                 expcfg.measureCycles);
-        }
+        if (measure_complete)
+            res.accepted = acceptedRate(ej0, ej1);
         return res;
     };
 
@@ -242,25 +239,29 @@ runLoadPoint(const Topology &topo, RoutingAlgorithm &algo,
         return LivenessOutcome::kContinue;
     };
 
-    // Warm up under load without labeling.
-    for (int c = 0; c < expcfg.warmupCycles; ++c) {
-        inj.tick(net, false);
+    // One simulated cycle: inject, step, sample, observe, then the
+    // liveness tick.
+    const auto cycle = [&](bool measuring) {
+        hooks.inject(net, measuring);
         net.step();
-        obsTick();
-        if (livenessTick() == LivenessOutcome::kAbort)
+        if (sampler.has_value())
+            sampler->tick();
+        if (hooks.afterStep)
+            hooks.afterStep(net, metrics.get());
+        return livenessTick();
+    };
+
+    // Warm up under load without labeling.
+    for (int c = 0; c < expcfg.warmupCycles; ++c)
+        if (cycle(false) == LivenessOutcome::kAbort)
             return stalledOut(false, 0, 0);
-    }
 
     // Label packets created during the measurement interval, and
     // count all ejected flits in the window for accepted throughput.
     const std::uint64_t ejected0 = net.stats().flitsEjected;
-    for (int c = 0; c < expcfg.measureCycles; ++c) {
-        inj.tick(net, true);
-        net.step();
-        obsTick();
-        if (livenessTick() == LivenessOutcome::kAbort)
+    for (int c = 0; c < expcfg.measureCycles; ++c)
+        if (cycle(true) == LivenessOutcome::kAbort)
             return stalledOut(false, 0, 0);
-    }
     const std::uint64_t ejected1 = net.stats().flitsEjected;
 
     // Run until every labeled packet has left the system (delivered
@@ -275,17 +276,12 @@ runLoadPoint(const Topology &topo, RoutingAlgorithm &algo,
             saturated = true;
             break;
         }
-        inj.tick(net, false);
-        net.step();
-        obsTick();
-        if (livenessTick() == LivenessOutcome::kAbort)
+        if (cycle(false) == LivenessOutcome::kAbort)
             return stalledOut(true, ejected0, ejected1);
     }
 
     fillObserved(!saturated);
-    res.accepted = static_cast<double>(ejected1 - ejected0) /
-                   (static_cast<double>(net.numNodes()) *
-                    expcfg.measureCycles);
+    res.accepted = acceptedRate(ejected0, ejected1);
     res.saturated = saturated;
     if (saturated)
         res.status = LoadPointStatus::kSaturated;
@@ -298,6 +294,23 @@ runLoadPoint(const Topology &topo, RoutingAlgorithm &algo,
         res.status = LoadPointStatus::kUnreachable;
     else
         res.status = LoadPointStatus::kDelivered;
+    return res;
+}
+
+LoadPointResult
+runLoadPoint(const Topology &topo, RoutingAlgorithm &algo,
+             const TrafficPattern &pattern, NetworkConfig netcfg,
+             const ExperimentConfig &expcfg, double offered)
+{
+    BernoulliInjection inj(offered, netcfg.packetSize,
+                           expcfg.seed ^ kInjectionSeedSalt);
+    LoadPointHooks hooks;
+    hooks.inject = [&inj](Network &net, bool measuring) {
+        inj.tick(net, measuring);
+    };
+    LoadPointResult res =
+        driveLoadPoint(topo, algo, pattern, netcfg, expcfg, hooks);
+    res.offered = offered;
     return res;
 }
 

@@ -7,10 +7,11 @@
  * measurements until steady-state is reached.  Then a sample of
  * injected packets is labeled during a measurement interval.  The
  * simulation is run until all labeled packets exit the system."
- * runLoadPoint() implements exactly this, reporting average labeled
- * latency and the accepted throughput over the measurement window;
- * a bounded drain detects saturation (labeled packets that never
- * leave).
+ * driveLoadPoint() is the one implementation of this schedule;
+ * runLoadPoint() composes it with Bernoulli injection, reporting
+ * average labeled latency and the accepted throughput over the
+ * measurement window; a bounded drain detects saturation (labeled
+ * packets that never leave).
  *
  * Batch: loadBatch() + runBatch() measure the time to deliver a
  * fixed batch, normalized by batch size — the dynamic-response /
@@ -21,6 +22,7 @@
 #define FBFLY_HARNESS_EXPERIMENT_H
 
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <string>
@@ -239,8 +241,53 @@ struct BatchResult
     double normalizedLatency = 0.0;
 };
 
+/** Salt of the load-point injection stream: a run seeded with s
+ *  draws its arrivals from seed s ^ kInjectionSeedSalt ("Inject1"). */
+inline constexpr std::uint64_t kInjectionSeedSalt = 0x496e6a65637431ULL;
+
 /**
- * Run one offered-load point on a freshly built network.
+ * The parts of a load-point run that differ between entry points
+ * (see driveLoadPoint).  The per-cycle hooks run every simulated
+ * cycle, so they must not allocate on every call.
+ */
+struct LoadPointHooks
+{
+    /** Offer traffic for the cycle about to be stepped; @p measuring
+     *  is true inside the measurement window (label the packets). */
+    std::function<void(Network &net, bool measuring)> inject;
+    /** Optional: observe the cycle just stepped, after the ObsSampler
+     *  tick and before the liveness tick.  @p metrics is null unless
+     *  obs.metricsEnabled. */
+    std::function<void(Network &net, const MetricsRegistry *metrics)>
+        afterStep;
+    /** Optional: add results once the run has ended (stalled runs
+     *  included), after the shared result and metrics fill.
+     *  @p metrics is null unless obs.metricsEnabled. */
+    std::function<void(const Network &net, MetricsRegistry *metrics)>
+        finish;
+};
+
+/**
+ * The open-loop run driver every load-point entry point composes:
+ * pre-flight Network::validate() -> delivery oracle -> trace sink ->
+ * Network -> ObsSampler -> warm-up / measure / drain, each cycle
+ * inject, step, sample, observe and liveness tick (diagnosis and
+ * recovery, ExperimentConfig::liveness) -> the shared result and
+ * `net.*` / `link.*` / `trace.*` / `latency.*` metrics fill -> status.
+ *
+ * netcfg.numVcs and netcfg.seed are overridden (algo.numVcs(),
+ * expcfg.seed).  The result's `offered` is left to the caller.
+ */
+LoadPointResult driveLoadPoint(const Topology &topo,
+                               RoutingAlgorithm &algo,
+                               const TrafficPattern &pattern,
+                               NetworkConfig netcfg,
+                               const ExperimentConfig &expcfg,
+                               const LoadPointHooks &hooks);
+
+/**
+ * Run one offered-load point on a freshly built network (Bernoulli
+ * injection through driveLoadPoint).
  *
  * @param topo    topology (outlives the call).
  * @param algo    routing algorithm; cfg.numVcs is overridden to

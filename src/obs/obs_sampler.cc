@@ -19,7 +19,10 @@ ObsSampler::ObsSampler(Network &net, MetricsRegistry &registry,
       startCycle_(net.now()),
       lastBoundary_(net.now()),
       lastCounts_(net.interRouterFlitCounts()),
-      baseCounts_(lastCounts_)
+      baseCounts_(lastCounts_),
+      lastFlitsEjected_(net.stats().flitsEjected),
+      lastLatencySum_(net.stats().packetLatency.sum()),
+      lastLatencyCount_(net.stats().packetLatency.count())
 {
     FBFLY_ASSERT(window_cycles >= 1,
                  "sampler window must be >= 1 cycle");
@@ -114,6 +117,26 @@ ObsSampler::emitWindow(std::uint64_t cycles)
             .values.push_back(
                 static_cast<double>(net_.bufferedFlitsOnVc(vc)));
     }
+
+    // The window's transient: accepted throughput, mean latency of
+    // the labeled packets ejected in it, source-queue backlog.
+    const NetworkStats &st = net_.stats();
+    registry_.series("obs.accepted", windowCycles_, startCycle_)
+        .values.push_back(
+            static_cast<double>(st.flitsEjected - lastFlitsEjected_) /
+            (static_cast<double>(net_.numNodes()) *
+             static_cast<double>(cycles)));
+    const std::uint64_t lat_n =
+        st.packetLatency.count() - lastLatencyCount_;
+    const double lat_sum = st.packetLatency.sum() - lastLatencySum_;
+    registry_.series("obs.window_latency", windowCycles_, startCycle_)
+        .values.push_back(
+            lat_n > 0 ? lat_sum / static_cast<double>(lat_n) : 0.0);
+    registry_.series("obs.backlog", windowCycles_, startCycle_)
+        .values.push_back(static_cast<double>(st.pendingPackets));
+    lastFlitsEjected_ = st.flitsEjected;
+    lastLatencySum_ = st.packetLatency.sum();
+    lastLatencyCount_ = st.packetLatency.count();
 
     lastCounts_ = counts;
     ++windows_;

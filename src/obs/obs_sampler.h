@@ -4,8 +4,7 @@
  * (docs/OBSERVABILITY.md).
  *
  * Ticks once per simulated cycle alongside the network and, at every
- * window boundary (the same cadence as the harness
- * TimeSeriesSampler), derives:
+ * window boundary, derives:
  *
  *  - **per-channel utilization**: flits carried by each inter-router
  *    channel during the window, divided by the window width — the
@@ -14,7 +13,14 @@
  *    TraceSink is attached, each channel's own utilization becomes a
  *    counter sample on that channel's track (a Perfetto counter row);
  *  - **per-VC buffer occupancy**: flits buffered network-wide on each
- *    virtual channel, one series per VC ("obs.vc_occ.vc<k>").
+ *    virtual channel, one series per VC ("obs.vc_occ.vc<k>");
+ *  - **the window's transient**: accepted throughput over the window
+ *    in flits/node/cycle ("obs.accepted"), the mean latency of the
+ *    labeled packets ejected in the window, 0 when none
+ *    ("obs.window_latency"), and the packets waiting in source
+ *    queues at the boundary ("obs.backlog") — step-response
+ *    experiments plot these window by window (paper Figure 5's
+ *    dynamics as explicit time series).
  *
  * The sampler also integrates the per-channel flit deltas into a
  * running total, which the conservation property test
@@ -95,6 +101,11 @@ class ObsSampler
     std::vector<std::uint64_t> lastCounts_;
     /** Per-arc flit counts at construction (integral baseline). */
     std::vector<std::uint64_t> baseCounts_;
+    /** Ejected flits and labeled-latency sum/count at the last
+     *  boundary (the window-transient baselines). */
+    std::uint64_t lastFlitsEjected_;
+    double lastLatencySum_;
+    std::uint64_t lastLatencyCount_;
     std::uint64_t windows_ = 0;
     /** Sum of per-window mean utilizations (for the overall mean). */
     double utilMeanSum_ = 0.0;

@@ -353,16 +353,27 @@ ChurnRunConfig
 smallRunConfig()
 {
     ChurnRunConfig cfg;
-    cfg.warmupCycles = 200;
-    cfg.horizonCycles = 2500;
-    cfg.drainCycles = 30000;
+    cfg.expcfg.warmupCycles = 200;
+    cfg.expcfg.measureCycles = 2500;
+    cfg.expcfg.drainCycles = 30000;
+    cfg.expcfg.seed = 99;
     cfg.baseLoad = 0.10;
     cfg.peakLoad = 0.30;
     cfg.diurnalPeriod = 1000;
     cfg.epochCycles = 250;
     cfg.recoveryWindow = 128;
-    cfg.seed = 99;
     return cfg;
+}
+
+/** Network knobs of the harness tests: small buffers, and the
+ *  forward-progress watchdog every churn run needs. */
+NetworkConfig
+smallNetConfig()
+{
+    NetworkConfig netcfg;
+    netcfg.vcDepth = 4;
+    netcfg.watchdogCycles = 50000;
+    return netcfg;
 }
 
 TEST(ChurnConservation, InvariantsHoldThroughKillRepairCycles)
@@ -374,19 +385,18 @@ TEST(ChurnConservation, InvariantsHoldThroughKillRepairCycles)
     FlattenedButterfly topo(4, 2);
     UniformRandom pattern(topo.numNodes());
 
-    ChurnRunConfig cfg = smallRunConfig();
-    cfg.invariantCheckInterval = 1;
+    const ChurnRunConfig cfg = smallRunConfig();
 
     ChurnConfig cc = linkChurnConfig(400, 120, 0, 11);
     cc.routerMtbf = 1500;
     cc.routerMttr = 200;
-    cc.horizon = static_cast<Cycle>(cfg.warmupCycles) +
-                 cfg.horizonCycles;
+    cc.horizon = static_cast<Cycle>(cfg.expcfg.warmupCycles) +
+                 static_cast<Cycle>(cfg.expcfg.measureCycles);
     const ChurnModel model(topo, cc);
     ASSERT_GT(model.downEvents(), 2u);
 
-    NetworkConfig netcfg;
-    netcfg.vcDepth = 4;
+    NetworkConfig netcfg = smallNetConfig();
+    netcfg.invariantCheckInterval = 1;
     const ChurnPointResult r =
         runChurnPoint(topo, pattern, &model, netcfg, cfg);
 
@@ -412,15 +422,14 @@ runSmallChurnSweep(int threads)
 {
     FlattenedButterfly topo(4, 2);
     UniformRandom pattern(topo.numNodes());
-    NetworkConfig netcfg;
-    netcfg.vcDepth = 4;
+    const NetworkConfig netcfg = smallNetConfig();
 
     ChurnSweepConfig cfg;
     cfg.threads = threads;
     cfg.masterSeed = 2007;
     cfg.run = smallRunConfig();
-    cfg.run.obs.traceEnabled = true;
-    cfg.run.obs.traceCapacity = 1 << 15;
+    cfg.run.expcfg.obs.traceEnabled = true;
+    cfg.run.expcfg.obs.traceCapacity = 1 << 15;
 
     ChurnCase none;
     none.label = "no churn";
@@ -487,12 +496,11 @@ TEST(ChurnDeterminism, ZeroChurnReproducesPlainRunBitForBit)
     // events is a strict no-op.
     FlattenedButterfly topo(4, 2);
     UniformRandom pattern(topo.numNodes());
-    NetworkConfig netcfg;
-    netcfg.vcDepth = 4;
+    NetworkConfig netcfg = smallNetConfig();
 
     ChurnRunConfig cfg = smallRunConfig();
-    cfg.obs.traceEnabled = true;
-    cfg.obs.traceCapacity = 1 << 15;
+    cfg.expcfg.obs.traceEnabled = true;
+    cfg.expcfg.obs.traceCapacity = 1 << 15;
 
     const ChurnModel empty(topo, ChurnConfig{});
     ASSERT_FALSE(empty.anyChurn());
@@ -516,6 +524,17 @@ TEST(ChurnDeterminism, ZeroChurnReproducesPlainRunBitForBit)
     ASSERT_NE(zero.load.trace, nullptr);
     EXPECT_EQ(plain.load.trace->toText(),
               zero.load.trace->toText());
+
+    // Churn runs are watchdog-backed: the same run with the watchdog
+    // off is refused up front, never silently given one.
+    netcfg.watchdogCycles = 0;
+    const ChurnPointResult unguarded =
+        runChurnPoint(topo, pattern, &empty, netcfg, cfg);
+    EXPECT_EQ(unguarded.load.status, LoadPointStatus::kInvalidConfig);
+    EXPECT_NE(unguarded.load.diagnostics.find("watchdogCycles"),
+              std::string::npos)
+        << unguarded.load.diagnostics;
+    EXPECT_FALSE(unguarded.load.valid());
 }
 
 } // namespace

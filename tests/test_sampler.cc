@@ -1,12 +1,15 @@
 /**
  * @file
- * Tests for the time-series sampler and the hotspot traffic pattern.
+ * Tests for ObsSampler's per-window transient series (accepted
+ * throughput, window latency, backlog) and the hotspot traffic
+ * pattern.
  */
 
 #include <gtest/gtest.h>
 
-#include "harness/sampler.h"
 #include "network/network.h"
+#include "obs/metrics.h"
+#include "obs/obs_sampler.h"
 #include "routing/min_adaptive.h"
 #include "topology/flattened_butterfly.h"
 #include "traffic/injection.h"
@@ -27,15 +30,22 @@ TEST(Sampler, WindowsCoverTheRun)
     Network net(topo, algo, &ur, cfg);
     BernoulliInjection inj(0.3, 1, 5);
 
-    TimeSeriesSampler sampler(net, 50);
+    MetricsRegistry m;
+    ObsSampler sampler(net, m, 50);
     for (int c = 0; c < 500; ++c) {
         inj.tick(net, true);
         net.step();
         sampler.tick();
     }
-    ASSERT_EQ(sampler.samples().size(), 10u);
-    for (std::size_t i = 0; i < 10; ++i)
-        EXPECT_EQ(sampler.samples()[i].start, i * 50);
+    // Window i covers cycles [start + i * window, ...).
+    for (const char *name :
+         {"obs.accepted", "obs.window_latency", "obs.backlog"}) {
+        const MetricsRegistry::Series *s = m.findSeries(name);
+        ASSERT_NE(s, nullptr) << name;
+        EXPECT_EQ(s->values.size(), 10u) << name;
+        EXPECT_EQ(s->startCycle, 0u) << name;
+        EXPECT_EQ(s->windowCycles, 50u) << name;
+    }
 }
 
 TEST(Sampler, AcceptedMatchesSteadyState)
@@ -53,20 +63,26 @@ TEST(Sampler, AcceptedMatchesSteadyState)
         inj.tick(net, true);
         net.step();
     }
-    TimeSeriesSampler sampler(net, 100);
+    MetricsRegistry m;
+    ObsSampler sampler(net, m, 100);
     for (int c = 0; c < 1000; ++c) {
         inj.tick(net, true);
         net.step();
         sampler.tick();
     }
+    const auto &accepted = m.findSeries("obs.accepted")->values;
+    const auto &latency = m.findSeries("obs.window_latency")->values;
+    const auto &backlog = m.findSeries("obs.backlog")->values;
+    ASSERT_EQ(accepted.size(), 10u);
+    EXPECT_EQ(m.findSeries("obs.accepted")->startCycle, 300u);
     double sum = 0.0;
-    for (const auto &s : sampler.samples()) {
-        sum += s.accepted;
-        EXPECT_GT(s.avgLatency, 2.0);
-        EXPECT_LT(s.avgLatency, 30.0);
-        EXPECT_GE(s.inFlight, 0);
+    for (std::size_t i = 0; i < accepted.size(); ++i) {
+        sum += accepted[i];
+        EXPECT_GT(latency[i], 2.0);
+        EXPECT_LT(latency[i], 30.0);
+        EXPECT_GE(backlog[i], 0.0);
     }
-    EXPECT_NEAR(sum / sampler.samples().size(), 0.4, 0.05);
+    EXPECT_NEAR(sum / accepted.size(), 0.4, 0.05);
 }
 
 TEST(Sampler, QuietWindowHasNoSamplesOfLatency)
@@ -76,15 +92,17 @@ TEST(Sampler, QuietWindowHasNoSamplesOfLatency)
     NetworkConfig cfg;
     cfg.numVcs = algo.numVcs();
     Network net(topo, algo, nullptr, cfg);
-    TimeSeriesSampler sampler(net, 10);
+    MetricsRegistry m;
+    ObsSampler sampler(net, m, 10);
     for (int c = 0; c < 20; ++c) {
         net.step();
         sampler.tick();
     }
-    ASSERT_EQ(sampler.samples().size(), 2u);
-    EXPECT_EQ(sampler.samples()[0].ejected, 0u);
-    EXPECT_EQ(sampler.samples()[0].avgLatency, 0.0);
-    EXPECT_EQ(sampler.samples()[0].accepted, 0.0);
+    const auto &latency = m.findSeries("obs.window_latency")->values;
+    ASSERT_EQ(latency.size(), 2u);
+    EXPECT_EQ(latency[0], 0.0);
+    EXPECT_EQ(m.findSeries("obs.accepted")->values[0], 0.0);
+    EXPECT_EQ(m.findSeries("obs.backlog")->values[0], 0.0);
 }
 
 TEST(Hotspot, MixesHotAndBackgroundTraffic)

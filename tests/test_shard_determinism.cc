@@ -230,19 +230,19 @@ TEST(ShardDeterminism, ChurnRunIdenticalAcrossShardCounts)
     UniformRandom pattern(topo.numNodes());
 
     ChurnRunConfig run;
-    run.warmupCycles = 200;
-    run.horizonCycles = 3000;
-    run.drainCycles = 50000;
+    run.expcfg.warmupCycles = 200;
+    run.expcfg.measureCycles = 3000;
+    run.expcfg.drainCycles = 50000;
+    run.expcfg.seed = 2007;
     run.baseLoad = 0.1;
     run.peakLoad = 0.3;
     run.diurnalPeriod = 1000;
     run.epochCycles = 500; // exercise routing adaptation + pins
-    run.seed = 2007;
 
     ChurnConfig cc;
     cc.linkMtbf = 800;
     cc.linkMttr = 200;
-    cc.horizon = run.warmupCycles + run.horizonCycles;
+    cc.horizon = run.expcfg.warmupCycles + run.expcfg.measureCycles;
     cc.seed = 13;
     const ChurnModel model(topo, cc);
 
@@ -250,6 +250,7 @@ TEST(ShardDeterminism, ChurnRunIdenticalAcrossShardCounts)
         NetworkConfig netcfg;
         netcfg.vcDepth = 4;
         netcfg.shards = shards;
+        netcfg.watchdogCycles = 50000;
         return runChurnPoint(topo, pattern, &model, netcfg, run);
     };
 

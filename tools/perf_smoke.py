@@ -13,7 +13,13 @@ Documents without step_rate metadata (e.g. BENCH_churn_sweep.json)
 fall back to per-point simulated-cycles-per-wall-second rates derived
 from the ``warmup_cycles``/``horizon_cycles`` metadata and each
 point's ``wall_seconds`` — the same parachute, one lane per sweep
-point.
+point.  Churn sweeps (points of ``kind: churn``) additionally take an
+exact-equality lane: the sweep is deterministic for any --threads, so
+every point must equal the baseline's on all fields but
+``wall_seconds``.  Inside ``metrics`` every baseline counter, gauge
+and series must be present with an equal value; gauges and series
+the baseline lacks are allowed (new observability never invalidates
+the pinned results), new counters are not.
 
 Documents carrying xscale metadata (``xscale_shard_speedup_8`` from
 bench/xscale_sweep) additionally get two self-relative lanes that
@@ -135,6 +141,50 @@ def xscale_checks(meta):
     return failures
 
 
+def churn_checks(doc, base_doc):
+    """Churn lane: every point equals the baseline's point exactly,
+    apart from wall_seconds and metric gauges/series the baseline
+    does not have."""
+    failures = []
+    points = doc.get("points", [])
+    base_points = base_doc.get("points", [])
+    if len(points) != len(base_points):
+        return [f"churn points: {len(points)} vs baseline "
+                f"{len(base_points)}"]
+    for cur, base in zip(points, base_points):
+        label = f"point_{base.get('index')}_{base.get('series', '')}"
+        diffs = []
+        for key in sorted(set(cur) | set(base)):
+            if key in ("wall_seconds", "metrics"):
+                continue
+            if cur.get(key) != base.get(key):
+                diffs.append(f"{key}: {cur.get(key)!r} != baseline "
+                             f"{base.get(key)!r}")
+        cur_m = cur.get("metrics") or {}
+        base_m = base.get("metrics") or {}
+        for kind in ("counters", "gauges", "series"):
+            have = cur_m.get(kind, {})
+            for name, value in base_m.get(kind, {}).items():
+                if name not in have:
+                    diffs.append(f"metrics.{kind}.{name}: missing")
+                elif have[name] != value:
+                    diffs.append(f"metrics.{kind}.{name}: "
+                                 f"{have[name]!r} != baseline "
+                                 f"{value!r}")
+        for name in cur_m.get("counters", {}):
+            if name not in base_m.get("counters", {}):
+                diffs.append(f"metrics.counters.{name}: not in "
+                             f"baseline")
+        if diffs:
+            print(f"FAIL  {label}: {len(diffs)} field(s) differ "
+                  f"from baseline")
+        else:
+            print(f"  ok  {label}: equal to baseline "
+                  f"(wall_seconds aside)")
+        failures += [f"{label}: {d}" for d in diffs]
+    return failures
+
+
 PARETO_COUNT_KEYS = ("candidates_enumerated", "candidates_pruned",
                      "survivors_swept", "frontier_size")
 PARETO_REQUIRED_FAMILIES = ("fbfly", "dragonfly", "slimfly")
@@ -206,11 +256,16 @@ def main(argv):
             return 1
         print("\nperf smoke passed")
         return 0
+    baseline_path = argv[2] if len(argv) == 3 else \
+        "BENCH_micro_kernel.json"
+    baseline_doc = load_doc(baseline_path)
     current = step_rates(argv[1], current_doc)
-    baseline = step_rates(
-        argv[2] if len(argv) == 3 else "BENCH_micro_kernel.json")
+    baseline = step_rates(baseline_path, baseline_doc)
 
     failures = []
+    if any(p.get("kind") == "churn"
+           for p in baseline_doc.get("points", [])):
+        failures += churn_checks(current_doc, baseline_doc)
     current_meta = current_doc.get("metadata", {})
     if "xscale_shard_speedup_8" in current_meta or \
             "peak_rss_per_terminal_bytes" in current_meta:
