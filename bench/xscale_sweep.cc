@@ -2,7 +2,7 @@
  * @file
  * Extreme-scale sweep: k-ary n-flats from ~4k to ~10^5 terminals,
  * plus the self-relative shard-speedup and peak-RSS study of the
- * sharded step engine (docs/DESIGN.md "Sharded step engine",
+ * step engine (docs/DESIGN.md "Step engine",
  * docs/SWEEPS.md).
  *
  * Two questions, both paper-motivated — the flattened butterfly's

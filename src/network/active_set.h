@@ -30,16 +30,17 @@
  * streams, arbitration and traces stay bit-identical (verified by
  * the golden-trace and idle-equivalence fixtures).
  *
- * Sharded stepping (Network cfg.shards > 1, DESIGN.md "Sharded
- * step engine"): phase workers must not mutate the shared bitmask or
- * heap concurrently, so each shard stages its wakes into a private
+ * Multi-shard stepping (Network cfg.shards > 1, DESIGN.md "Step
+ * engine"): phase workers must not mutate the shared bitmask or heap
+ * concurrently, so each shard stages its wakes into a private
  * WakeStage installed thread-locally (stageWakesTo).  Next-cycle
  * wakes land in a per-shard mask (merged with a commutative OR at
  * commit); later timed wakes are recorded in call order and replayed
  * through the real wakeAt() serially, in ascending-shard segment
- * order — the exact order the sequential loop would have issued
- * them, so the heap contents, push order and the per-component
- * duplicate suppression (lastAt_) stay bit-identical.
+ * order — the order one shard issues them directly (router receive,
+ * terminal receive + plan, route + traverse, inject), so the heap
+ * contents, push order and the per-component duplicate suppression
+ * (lastAt_) stay bit-identical.
  */
 
 #ifndef FBFLY_NETWORK_ACTIVE_SET_H
@@ -99,7 +100,7 @@ class ActiveSet
 
     /** Install @p stage as this thread's wake redirect (nullptr to
      *  restore direct operation).  Thread-local: phase workers of a
-     *  sharded step each stage into their own shard's buffer. */
+     *  multi-shard step each stage into their own shard's buffer. */
     static void stageWakesTo(WakeStage *stage) { tlsStage_ = stage; }
 
     /** RAII installer for stageWakesTo(). */
@@ -237,7 +238,7 @@ class ActiveSet
     }
 
     // ------------------------------------------------------------------
-    // Sharded-step commit (called serially, with no stage installed).
+    // Multi-shard commit (called serially, with no stage installed).
 
     /** Words in the next-generation mask (WakeStage sizing). */
     std::size_t maskWords() const { return next_.size(); }
@@ -254,7 +255,7 @@ class ActiveSet
 
     /** Replay phase segment @p seg_index of a staged timer list
      *  through the real wakeAt() (call with ascending shards per
-     *  segment to reproduce the sequential issue order). */
+     *  segment to reproduce the one-shard issue order). */
     void replayStagedTimers(const WakeStage &s, std::size_t seg_index)
     {
         FBFLY_ASSERT(seg_index < s.seg.size(),

@@ -385,37 +385,38 @@ Network::Network(const Topology &topo, RoutingAlgorithm &algo,
         env != nullptr && std::string_view(env) != "0")
         verifyWakes_ = true;
 
-    // Sharded step engine (DESIGN.md).  Reliable channels carry
-    // go-back-N transmitter/receiver state that both endpoints touch
-    // in both phases, so those configurations fall back to the
-    // sequential loop — which is what they produced before anyway
-    // (bit-identical by construction).
+    // Step engine shards (DESIGN.md "Step engine").  Reliable
+    // channels carry go-back-N transmitter/receiver state that both
+    // endpoints touch in both phases, so those configurations run on
+    // one shard.
     int shard_count = std::max(1, cfg.shards);
     shard_count = std::min(shard_count, std::max(1, num_routers));
-    if (reliable_links)
+    if (reliable_links && shard_count > 1) {
+        FBFLY_WARN("reliable links (link retry or an error model) ",
+                   "run on one shard: requested ", cfg.shards,
+                   " shards, running 1");
         shard_count = 1;
-    shardCount_ = shard_count;
-    if (shardCount_ > 1) {
-        shards_.resize(static_cast<std::size_t>(shardCount_));
-        const auto R = static_cast<std::uint64_t>(num_routers);
-        const auto N = static_cast<std::uint64_t>(num_nodes);
-        for (int s = 0; s < shardCount_; ++s) {
-            ShardContext &sc = shards_[static_cast<std::size_t>(s)];
-            sc.routerLo =
-                static_cast<std::uint32_t>(R * s / shardCount_);
-            sc.routerHi =
-                static_cast<std::uint32_t>(R * (s + 1) / shardCount_);
-            sc.termLo = static_cast<std::uint32_t>(
-                R + N * s / shardCount_);
-            sc.termHi = static_cast<std::uint32_t>(
-                R + N * (s + 1) / shardCount_);
-            // Terminals report stats through their shard's deferred
-            // sink from now on (shards_ never reallocates again).
-            for (std::uint32_t c = sc.termLo; c < sc.termHi; ++c)
-                terminals_[c - R].setShardSink(&sc.term);
-        }
-        pool_ = std::make_unique<PhasePool>(shardCount_ - 1);
     }
+    shardCount_ = shard_count;
+    staged_ = shardCount_ > 1;
+    shards_.resize(static_cast<std::size_t>(shardCount_));
+    const auto R = static_cast<std::uint64_t>(num_routers);
+    const auto N = static_cast<std::uint64_t>(num_nodes);
+    for (int s = 0; s < shardCount_; ++s) {
+        ShardContext &sc = shards_[static_cast<std::size_t>(s)];
+        sc.routerLo = static_cast<std::uint32_t>(R * s / shardCount_);
+        sc.routerHi =
+            static_cast<std::uint32_t>(R * (s + 1) / shardCount_);
+        sc.termLo =
+            static_cast<std::uint32_t>(R + N * s / shardCount_);
+        sc.termHi =
+            static_cast<std::uint32_t>(R + N * (s + 1) / shardCount_);
+        // Terminals report stats through their shard's sink
+        // (shards_ never reallocates again).
+        for (std::uint32_t c = sc.termLo; c < sc.termHi; ++c)
+            terminals_[c - R].setShardSink(&sc.term);
+    }
+    pool_ = std::make_unique<PhasePool>(shardCount_ - 1);
 }
 
 void
@@ -679,11 +680,6 @@ Network::step()
         active_.wakeAllNext();
 
     const Cycle t = now_;
-    const auto num_routers =
-        static_cast<std::uint32_t>(routers_.size());
-    const auto num_comps = static_cast<std::uint32_t>(
-        routers_.size() + terminals_.size());
-
     const bool anyActive = active_.beginCycle(t);
     // Test hook: components with debug-suppressed wakes drop out of
     // the runnable set every cycle, stranding their work the way a
@@ -695,64 +691,8 @@ Network::step()
     if (verifyWakes_)
         verifyWakes(t);
 
-    if (anyActive && shardCount_ > 1) {
-        stepPhased(t);
-    } else if (anyActive) {
-        const std::uint64_t ejected0 = stats_.flitsEjected;
-        const std::uint64_t injected0 = stats_.flitsInjected;
-        const std::uint64_t dropped0 = stats_.flitsDropped;
-
-        active_.forEachIn(0, num_routers, [&](std::uint32_t c) {
-            routers_[c].receive(t);
-        });
-        active_.forEachIn(
-            num_routers, num_comps, [&](std::uint32_t c) {
-                terminals_[c - num_routers].receive(t);
-            });
-
-        // SwitchableRouting may flip the allocator discipline
-        // between cycles, so hoist the virtual sequential() call per
-        // cycle — never cache it across cycles.
-        algoSequential_ = algo_.sequential();
-        int moved = 0;
-        active_.forEachIn(0, num_routers, [&](std::uint32_t c) {
-            Router &r = routers_[c];
-            moved += r.routeAndTraverse(t, algo_, algoSequential_);
-            // Incremental drop aggregation: only routers that
-            // actually dropped sync their deltas, replacing the old
-            // unconditional full-router scan.  Still unconditional
-            // in effect: routing algorithms may drop packets as
-            // unreachable even without a fault schedule
-            // (misroute-budget exhaustion, pathological algorithms
-            // under test), and the harness's drain loop terminates
-            // on stats_.measuredDropped — drops land in the
-            // aggregate the same cycle they happen.
-            if (r.hasPendingDrops()) {
-                r.drainPendingDrops(stats_.flitsDropped,
-                                    stats_.packetsUnreachable,
-                                    stats_.measuredDropped);
-            }
-            // Buffered flits (blocked on credits, bandwidth or a
-            // dead port) keep their router runnable.
-            if (r.bufferedFlits() > 0)
-                active_.wakeNext(c);
-        });
-        active_.forEachIn(
-            num_routers, num_comps, [&](std::uint32_t c) {
-                Terminal &term = terminals_[c - num_routers];
-                term.inject(t);
-                // Queued or partially injected packets keep their
-                // terminal runnable.
-                if (term.sourceQueueLength() > 0 || term.midPacket())
-                    active_.wakeNext(c);
-            });
-
-        if (moved > 0 || stats_.flitsEjected != ejected0 ||
-            stats_.flitsInjected != injected0 ||
-            stats_.flitsDropped != dropped0) {
-            lastProgress_ = t;
-        }
-    }
+    if (anyActive)
+        runPhases(t);
 
     ++now_;
 
@@ -766,138 +706,146 @@ Network::step()
 }
 
 void
-Network::stepPhased(Cycle t)
+Network::runPhases(Cycle t)
 {
-    const auto num_routers =
-        static_cast<std::uint32_t>(routers_.size());
-    const auto num_comps = static_cast<std::uint32_t>(
-        routers_.size() + terminals_.size());
-
-    const std::uint64_t ejected0 = stats_.flitsEjected;
-    const std::uint64_t injected0 = stats_.flitsInjected;
-    const std::uint64_t dropped0 = stats_.flitsDropped;
-
-    const std::size_t words = active_.maskWords();
-    for (ShardContext &sc : shards_) {
-        sc.wake.reset(words, t + 1);
-        sc.trace.reset();
-        sc.term.reset();
-        sc.moved = 0;
-        sc.dropFlits = 0;
-        sc.dropPackets = 0;
-        sc.dropMeasured = 0;
-    }
-
-    // Hoisted exactly like the sequential loop; nothing in the
-    // receive phase can flip the allocator discipline.
-    algoSequential_ = algo_.sequential();
-
-    // PHASE A (parallel): routers drain arrivals, terminals drain
-    // ejects/credits and plan this cycle's injection from
-    // terminal-local state.  Each endpoint of a channel touches a
-    // disjoint field set (receiveFlit side vs receiveCredit side),
-    // and all wakes/traces go to per-shard staging via TLS.
-    pool_->run([&, t](int s) {
-        ShardContext &sc = shards_[static_cast<std::size_t>(s)];
-        ActiveSet::StageGuard wakes(&sc.wake);
-        TraceSink::StageGuard traces(
-            cfg_.trace != nullptr ? &sc.trace : nullptr);
-        active_.forEachIn(sc.routerLo, sc.routerHi,
-                          [&](std::uint32_t c) {
-                              routers_[c].receive(t);
-                          });
-        sc.wake.mark();
-        sc.trace.mark();
-        active_.forEachIn(sc.termLo, sc.termHi,
-                          [&](std::uint32_t c) {
-                              Terminal &term =
-                                  terminals_[c - num_routers];
-                              term.receive(t);
-                              term.planInject(t);
-                          });
-        sc.wake.mark();
-        sc.trace.mark();
-    });
-
-    // Serial: assign packet/flit ids to the planned injections in
-    // ascending terminal order — the exact order the sequential
-    // advance phase draws them from the global counters.
-    active_.forEachIn(num_routers, num_comps, [&](std::uint32_t c) {
-        terminals_[c - num_routers].assignPlannedIds();
-    });
-
-    // PHASE B (parallel): routers route + traverse, terminals send
-    // their planned flit.  Channel field sets are again disjoint per
-    // endpoint (sendFlit side vs sendCredit side).
-    pool_->run([&, t](int s) {
-        ShardContext &sc = shards_[static_cast<std::size_t>(s)];
-        ActiveSet::StageGuard wakes(&sc.wake);
-        TraceSink::StageGuard traces(
-            cfg_.trace != nullptr ? &sc.trace : nullptr);
-        active_.forEachIn(
-            sc.routerLo, sc.routerHi, [&](std::uint32_t c) {
-                Router &r = routers_[c];
-                sc.moved +=
-                    r.routeAndTraverse(t, algo_, algoSequential_);
-                if (r.hasPendingDrops()) {
-                    r.drainPendingDrops(sc.dropFlits, sc.dropPackets,
-                                        sc.dropMeasured);
-                }
-                if (r.bufferedFlits() > 0)
-                    active_.wakeNext(c); // staged
-            });
-        sc.wake.mark();
-        sc.trace.mark();
-        active_.forEachIn(
-            sc.termLo, sc.termHi, [&](std::uint32_t c) {
-                Terminal &term = terminals_[c - num_routers];
-                term.executeInject(t);
-                if (term.sourceQueueLength() > 0 || term.midPacket())
-                    active_.wakeNext(c); // staged
-            });
-        sc.wake.mark();
-        sc.trace.mark();
-    });
-
-    commitPhased(t);
-
-    int moved = 0;
-    for (const ShardContext &sc : shards_)
-        moved += sc.moved;
-    if (moved > 0 || stats_.flitsEjected != ejected0 ||
-        stats_.flitsInjected != injected0 ||
-        stats_.flitsDropped != dropped0) {
-        lastProgress_ = t;
-    }
-}
-
-void
-Network::commitPhased(Cycle t)
-{
-    // 1. Timed wakes and trace records, replayed per phase segment
-    //    in ascending shard order — shard concatenation of ascending
-    //    contiguous id ranges is exactly the sequential call order,
-    //    so the wake heap (push order, lastAt_ dedup) and the trace
-    //    ring (contents, overwrite behavior) come out bit-identical.
-    constexpr std::size_t kSegments = 4;
-    for (std::size_t seg = 0; seg < kSegments; ++seg) {
+    if (staged_) {
+        const std::size_t words = active_.maskWords();
         for (ShardContext &sc : shards_) {
-            active_.replayStagedTimers(sc.wake, seg);
-            if (cfg_.trace != nullptr)
-                cfg_.trace->replayStaged(sc.trace, seg);
+            sc.wake.reset(words, t + 1);
+            sc.trace.reset();
         }
     }
 
-    // 2. Next-cycle wake masks: a commutative OR.
-    for (ShardContext &sc : shards_)
-        active_.mergeStagedMask(sc.wake);
+    // SwitchableRouting may flip the allocator discipline between
+    // cycles, so hoist the virtual sequential() call per cycle —
+    // never cache it across cycles.  Nothing in phase A can flip it.
+    algoSequential_ = algo_.sequential();
 
-    // 3. Stats and oracle callbacks.  Sequential intra-cycle order is
-    //    every eject (receive phase, ascending terminal) before every
-    //    inject (advance phase, ascending terminal); Welford /
-    //    histogram adds are order-sensitive doubles, so replay in
+    pool_->run([this, t](int s) {
+        phaseA(shards_[static_cast<std::size_t>(s)], t);
+    });
+
+    // Serial: hand each shard, in ascending order, the block of
+    // packet/flit ids its terminals planned; phase B draws them in
+    // ascending terminal order, so the id stream does not depend on
+    // the shard count.
+    for (ShardContext &sc : shards_) {
+        sc.term.nextPacket = nextPacket_;
+        sc.term.nextFlit = nextFlit_;
+        nextPacket_ += sc.term.plannedPackets;
+        nextFlit_ += sc.term.plannedFlits;
+    }
+
+    pool_->run([this, t](int s) {
+        phaseB(shards_[static_cast<std::size_t>(s)], t);
+    });
+
+    if (commitPhases(t))
+        lastProgress_ = t;
+}
+
+void
+Network::phaseA(ShardContext &sc, Cycle t)
+{
+    // Routers drain arrivals, terminals drain ejects/credits and plan
+    // this cycle's injection from terminal-local state.  Each
+    // endpoint of a channel touches a disjoint field set (receiveFlit
+    // side vs receiveCredit side).
+    const auto num_routers =
+        static_cast<std::uint32_t>(routers_.size());
+    ActiveSet::StageGuard wakes(staged_ ? &sc.wake : nullptr);
+    TraceSink::StageGuard traces(
+        staged_ && cfg_.trace != nullptr ? &sc.trace : nullptr);
+    active_.forEachIn(sc.routerLo, sc.routerHi, [&](std::uint32_t c) {
+        routers_[c].receive(t);
+    });
+    markSegment(sc);
+    active_.forEachIn(sc.termLo, sc.termHi, [&](std::uint32_t c) {
+        Terminal &term = terminals_[c - num_routers];
+        term.receive(t);
+        term.planInject(t);
+    });
+    markSegment(sc);
+}
+
+void
+Network::phaseB(ShardContext &sc, Cycle t)
+{
+    // Routers route + traverse, terminals send their planned flit.
+    // Channel field sets are again disjoint per endpoint (sendFlit
+    // side vs sendCredit side).
+    const auto num_routers =
+        static_cast<std::uint32_t>(routers_.size());
+    ActiveSet::StageGuard wakes(staged_ ? &sc.wake : nullptr);
+    TraceSink::StageGuard traces(
+        staged_ && cfg_.trace != nullptr ? &sc.trace : nullptr);
+    active_.forEachIn(sc.routerLo, sc.routerHi, [&](std::uint32_t c) {
+        Router &r = routers_[c];
+        sc.moved += r.routeAndTraverse(t, algo_, algoSequential_);
+        // Routing may drop packets as unreachable even without a
+        // fault schedule (misroute-budget exhaustion); the deltas
+        // fold into the aggregate at this cycle's commit.
+        if (r.hasPendingDrops()) {
+            r.drainPendingDrops(sc.dropFlits, sc.dropPackets,
+                                sc.dropMeasured);
+        }
+        // Buffered flits (blocked on credits, bandwidth or a dead
+        // port) keep their router runnable.
+        if (r.bufferedFlits() > 0)
+            active_.wakeNext(c);
+    });
+    markSegment(sc);
+    active_.forEachIn(sc.termLo, sc.termHi, [&](std::uint32_t c) {
+        Terminal &term = terminals_[c - num_routers];
+        term.executeInject(t);
+        // Queued or partially injected packets keep their terminal
+        // runnable.
+        if (term.hasInjectionWork())
+            active_.wakeNext(c);
+    });
+    markSegment(sc);
+}
+
+void
+Network::markSegment(ShardContext &sc)
+{
+    if (staged_) {
+        sc.wake.mark();
+        sc.trace.mark();
+    }
+}
+
+bool
+Network::commitPhases(Cycle t)
+{
+    if (staged_) {
+        // 1. Timed wakes and trace records, replayed per phase
+        //    segment in ascending shard order — shard concatenation
+        //    of ascending contiguous id ranges is exactly the
+        //    schedule's call order on one shard, so the wake heap
+        //    (push order, lastAt_ dedup) and the trace ring
+        //    (contents, overwrite behavior) come out bit-identical.
+        constexpr std::size_t kSegments = 4;
+        for (std::size_t seg = 0; seg < kSegments; ++seg) {
+            for (ShardContext &sc : shards_) {
+                active_.replayStagedTimers(sc.wake, seg);
+                if (cfg_.trace != nullptr)
+                    cfg_.trace->replayStaged(sc.trace, seg);
+            }
+        }
+
+        // 2. Next-cycle wake masks: a commutative OR.
+        for (ShardContext &sc : shards_)
+            active_.mergeStagedMask(sc.wake);
+    }
+
+    // 3. Stats and oracle callbacks.  The schedule's intra-cycle
+    //    order is every eject (phase A, ascending terminal) before
+    //    every inject (phase B, ascending terminal); Welford /
+    //    histogram adds are order-sensitive doubles, so fold in
     //    exactly that order.
     DeliveryOracle *oracle = cfg_.oracle;
+    bool progress = false;
     for (ShardContext &sc : shards_) {
         Terminal::ShardSink &k = sc.term;
         stats_.flitsEjected += k.flitsEjected;
@@ -927,7 +875,17 @@ Network::commitPhased(Cycle t)
         stats_.flitsDropped += sc.dropFlits;
         stats_.packetsUnreachable += sc.dropPackets;
         stats_.measuredDropped += sc.dropMeasured;
+
+        progress = progress || sc.moved > 0 || k.flitsEjected > 0 ||
+                   k.flitsInjected > 0 || sc.dropFlits > 0;
+        // Zeroed here, ready for the next cycle's phases.
+        k.reset();
+        sc.moved = 0;
+        sc.dropFlits = 0;
+        sc.dropPackets = 0;
+        sc.dropMeasured = 0;
     }
+    return progress;
 }
 
 bool

@@ -69,15 +69,15 @@ struct NetworkConfig
     std::uint64_t seed = 1;
 
     /**
-     * Shards the step loop partitions routers/terminals into
-     * (DESIGN.md "Sharded step engine").  1 (the default) runs the
-     * sequential loop; N > 1 runs each cycle as barrier-synced
-     * phases on N threads with a serial commit, **bit-identical** to
-     * the sequential loop for any N — traces, stats, RNG streams and
+     * Shards each cycle's phases are partitioned across (DESIGN.md
+     * "Step engine").  Every cycle runs the same phased schedule;
+     * with N > 1 its two phases run on N threads and a serial commit
+     * replays their staged side effects, so results are
+     * **bit-identical** at any N — traces, stats, RNG streams and
      * wake order all match (tests/test_shard_determinism.cc).
      * Clamped to the router count; configurations with link-layer
-     * retry or an error model fall back to 1 shard (reliable
-     * channels carry shared protocol state across phases).
+     * retry or an error model run on 1 shard, with a warning
+     * (reliable channels carry shared protocol state across phases).
      */
     int shards = 1;
 
@@ -291,7 +291,7 @@ class Network
     /** Current cycle (cycles completed). */
     Cycle now() const { return now_; }
 
-    /** Shards the step loop actually runs with (cfg.shards after
+    /** Shards the step engine actually runs with (cfg.shards after
      *  clamping and the reliable-link fallback). */
     int shardCount() const { return shardCount_; }
 
@@ -396,8 +396,6 @@ class Network
     /** @name Services used by terminals @{ */
     NodeId drawDest(NodeId src, Rng &rng) const;
     int packetSize() const { return cfg_.packetSize; }
-    PacketId nextPacketId() { return nextPacket_++; }
-    FlitId nextFlitId() { return nextFlit_++; }
     /** @} */
 
     /** @name Liveness introspection & recovery (sim/liveness.h) @{ */
@@ -566,11 +564,11 @@ class Network
     std::vector<std::uint32_t> suppressed_;
     /** @} */
 
-    /** @name Sharded step engine (DESIGN.md) @{ */
+    /** @name Step engine (DESIGN.md "Step engine") @{ */
 
     /** One shard: a contiguous router range + a contiguous terminal
-     *  range, plus the staging buffers its phase work writes into
-     *  (merged/replayed by the serial commit). */
+     *  range, plus the buffers its phase work writes into (folded,
+     *  merged or replayed by the serial commit). */
     struct ShardContext
     {
         /** Component-id ranges [lo, hi): routers in [0, R),
@@ -580,6 +578,8 @@ class Network
         std::uint32_t termLo = 0;
         std::uint32_t termHi = 0;
 
+        /** Wake and trace staging; installed only when more than one
+         *  shard runs (one shard wakes and records directly). */
         ActiveSet::WakeStage wake;
         TraceSink::Stage trace;
         Terminal::ShardSink term;
@@ -592,17 +592,40 @@ class Network
         std::uint64_t dropMeasured = 0;
     };
 
-    /** One cycle of the phased (shards > 1) engine; t == now_. */
-    void stepPhased(Cycle t);
+    /** The cycle's phases and commit, run when any component is
+     *  active; t == now_. */
+    void runPhases(Cycle t);
 
-    /** Serial commit: merge/replay every shard's staged work in
-     *  ascending shard order (== ascending component id). */
-    void commitPhased(Cycle t);
+    /** Phase A on one shard: router receive, then terminal receive
+     *  + planInject. */
+    void phaseA(ShardContext &sc, Cycle t);
+
+    /** Phase B on one shard: router route + traverse, then terminal
+     *  executeInject. */
+    void phaseB(ShardContext &sc, Cycle t);
+
+    /** Close one staged segment (the router or terminal half of a
+     *  phase); no-op when nothing is staged. */
+    void markSegment(ShardContext &sc);
+
+    /** Serial commit: fold every shard's terminal stats and drops in
+     *  eject-then-inject order and, when staged, merge/replay its
+     *  wakes and trace records in ascending shard order (== ascending
+     *  component id).  Leaves the shard counters zeroed.
+     *  @return true when any flit moved, ejected, injected or was
+     *  dropped this cycle (forward progress). */
+    bool commitPhases(Cycle t);
 
     /** Effective shard count (clamp + reliable-link fallback). */
     int shardCount_ = 1;
+    /** Wakes and trace records are staged only when phase bodies run
+     *  concurrently (shardCount_ > 1).  One shard runs every body on
+     *  the calling thread in schedule order — the order the commit
+     *  would replay — so its wakes and records go direct. */
+    bool staged_ = false;
+    /** shardCount_ entries. */
     std::vector<ShardContext> shards_;
-    /** Workers for the parallel phases (null when shardCount_==1). */
+    /** shardCount_ - 1 workers; the calling thread runs shard 0. */
     std::unique_ptr<PhasePool> pool_;
 
     /** @} */

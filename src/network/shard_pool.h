@@ -1,9 +1,9 @@
 /**
  * @file
- * PhasePool — persistent worker threads for the sharded step engine
- * (DESIGN.md "Sharded step engine").
+ * PhasePool — persistent worker threads for the step engine
+ * (DESIGN.md "Step engine").
  *
- * A sharded Network::step() runs two parallel phases per cycle, so
+ * Network::step() runs two phases per cycle on `shards` threads, so
  * thread startup cost must be amortized across the whole run: the
  * pool keeps (shards - 1) workers parked on a condition variable and
  * dispatches one phase at a time via an epoch counter.  The calling
@@ -71,14 +71,24 @@ class PhasePool
      * Run one phase: @p job(shard) for every shard in [0, shards()),
      * worker i executing shard i + 1 and the calling thread shard 0.
      * Returns once every shard finished; rethrows the first captured
-     * exception (caller's own first).
+     * exception (caller's own first).  With no workers the job runs
+     * inline, with no type erasure; otherwise the workers get it
+     * through a reference_wrapper, which std::function stores
+     * without allocating.
      */
-    void run(const std::function<void(int)> &job)
+    template <typename F>
+    void run(F &&job)
     {
         if (threads_.empty()) {
             job(0);
             return;
         }
+        runOnWorkers(std::ref(job));
+    }
+
+  private:
+    void runOnWorkers(const std::function<void(int)> &job)
+    {
         {
             std::lock_guard lk(mu_);
             job_ = &job;
@@ -108,7 +118,6 @@ class PhasePool
             std::rethrow_exception(workerError);
     }
 
-  private:
     void workerLoop(int index)
     {
         std::uint64_t seen = 0;

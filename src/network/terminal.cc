@@ -4,7 +4,6 @@
 #include "network/flit.h"
 #include "network/network.h"
 #include "obs/trace.h"
-#include "sim/delivery_oracle.h"
 
 namespace fbfly
 {
@@ -48,43 +47,14 @@ Terminal::receive(Cycle now)
                      " ejected at node ", id_);
         FBFLY_TRACE(trace_, TraceEventType::kEject, now, traceTrack_,
                     *f, f->vc);
-        if (sink_ != nullptr) {
-            ++sink_->flitsEjected;
-            sink_->hopsEjected += static_cast<std::uint64_t>(f->hops);
-            if (f->tail) {
-                ++sink_->packetsEjected;
-                if (f->measured)
-                    sink_->measuredEjects.push_back(*f);
-            }
-            continue;
-        }
-        NetworkStats &st = parent_->stats();
-        ++st.flitsEjected;
-        st.hopsEjected += static_cast<std::uint64_t>(f->hops);
+        ++sink_->flitsEjected;
+        sink_->hopsEjected += static_cast<std::uint64_t>(f->hops);
         if (f->tail) {
-            ++st.packetsEjected;
-            if (f->measured) {
-                if (DeliveryOracle *oracle = parent_->oracle())
-                    oracle->onEject(*f);
-                ++st.measuredEjected;
-                const auto lat =
-                    static_cast<double>(now - f->createTime);
-                st.packetLatency.add(lat);
-                st.networkLatency.add(
-                    static_cast<double>(now - f->injectTime));
-                st.hops.add(f->hops);
-                st.latencyHist.add(now - f->createTime);
-            }
+            ++sink_->packetsEjected;
+            if (f->measured)
+                sink_->measuredEjects.push_back(*f);
         }
     }
-}
-
-void
-Terminal::inject(Cycle now)
-{
-    planInject(now);
-    assignPlannedIds();
-    executeInject(now);
 }
 
 void
@@ -116,43 +86,33 @@ Terminal::planInject(Cycle now)
         currentVc_ = vc;
         current_ = queue_.front();
         queue_.pop_front();
-        if (sink_ != nullptr) {
-            --sink_->pendingPacketsDelta;
-            ++sink_->midPacketDelta;
-        } else {
-            --parent_->stats().pendingPackets;
-            ++parent_->stats().midPacketTerminals;
-        }
+        --sink_->pendingPacketsDelta;
+        ++sink_->midPacketDelta;
         if (current_.dst == kInvalid)
             current_.dst = parent_->drawDest(id_, rng_);
         remainingFlits_ = parent_->packetSize();
         flitIndex_ = 0;
         planStart_ = true;
+        ++sink_->plannedPackets;
     }
 
     // Continue the in-progress packet if flow control allows.
     if (!toRouter_->canSendFlit(now) || credits_[currentVc_] <= 0)
         return;
     planSend_ = true;
+    ++sink_->plannedFlits;
 }
 
 void
-Terminal::assignPlannedIds()
+Terminal::sendPlanned(Cycle now)
 {
     if (planStart_)
-        currentPacket_ = parent_->nextPacketId();
-    if (planSend_)
-        plannedFlit_ = parent_->nextFlitId();
-}
-
-void
-Terminal::executeInject(Cycle now)
-{
+        currentPacket_ = sink_->nextPacket++;
     if (!planSend_)
         return;
 
     Flit f;
-    f.id = plannedFlit_;
+    f.id = sink_->nextFlit++;
     f.packet = currentPacket_;
     f.src = id_;
     f.dst = current_.dst;
@@ -165,28 +125,17 @@ Terminal::executeInject(Cycle now)
     f.vc = currentVc_;
 
     --credits_[currentVc_];
-    if (f.head && f.measured) {
-        if (sink_ != nullptr)
-            sink_->measuredInjects.push_back(f);
-        else if (DeliveryOracle *oracle = parent_->oracle())
-            oracle->onInject(f);
-    }
+    if (f.head && f.measured)
+        sink_->measuredInjects.push_back(f);
     FBFLY_TRACE(trace_, TraceEventType::kInject, now, traceTrack_, f,
                 currentVc_);
     toRouter_->sendFlit(f, now);
-    if (sink_ != nullptr)
-        ++sink_->flitsInjected;
-    else
-        ++parent_->stats().flitsInjected;
+    ++sink_->flitsInjected;
 
     ++flitIndex_;
     --remainingFlits_;
-    if (remainingFlits_ == 0) {
-        if (sink_ != nullptr)
-            --sink_->midPacketDelta;
-        else
-            --parent_->stats().midPacketTerminals;
-    }
+    if (remainingFlits_ == 0)
+        --sink_->midPacketDelta;
 }
 
 } // namespace fbfly

@@ -5,7 +5,8 @@
  * Each terminal owns an unbounded source queue of pending packets,
  * injects flits into its router's terminal input port under credit
  * flow control, and receives (ejects) flits addressed to it,
- * reporting per-packet statistics to the Network.
+ * reporting per-packet statistics to the Network through its shard's
+ * stat sink.
  *
  * To keep memory O(1) per queued packet even far beyond saturation,
  * the queue stores only (creation time, destination, measured);
@@ -58,46 +59,41 @@ class Terminal
      */
     void enqueuePacket(Cycle create_time, NodeId dst, bool measured);
 
-    /** @name Per-cycle phases (called by Network) @{ */
-
-    /** Drain ejected flits (recording stats) and returned credits. */
-    void receive(Cycle now);
-
-    /** Inject up to one flit if credits and bandwidth allow.
-     *  Equivalent to planInject(); assignPlannedIds();
-     *  executeInject() — the sequential path and the sharded phases
-     *  share one decision procedure. */
-    void inject(Cycle now);
-
-    /** @} */
-
-    /** @name Sharded-step phases (DESIGN.md "Sharded step engine") @{
+    /** @name Per-cycle phases (called by Network; DESIGN.md "Step
+     *  engine") @{
      *
-     * The sharded engine splits inject() so the only global mutation
-     * — drawing packet/flit ids from the Network's counters — runs in
-     * a short serial pass between the parallel phases:
+     * Injection is split so the only global mutation — drawing
+     * packet/flit ids from the Network's counters — becomes one
+     * serial per-shard step between the two phases of the cycle:
      *
-     *  - planInject() (parallel, receive phase): decide from
-     *    terminal-local state whether a packet starts and whether a
-     *    flit departs this cycle, and apply the terminal-local start
-     *    mutations (the decision inputs — own queue, own credits, own
-     *    injection channel's busy/dead state — cannot change between
-     *    the receive and advance phases, so the decision equals the
-     *    one the sequential advance phase would make);
-     *  - assignPlannedIds() (serial, ascending terminal id over the
-     *    cycle's active terminals): draw the packet id then the flit
-     *    id — the exact order the sequential loop draws them;
-     *  - executeInject() (parallel, advance phase): build and send
-     *    the planned flit.
+     *  - receive() then planInject() (phase A): drain ejected flits
+     *    and returned credits, then decide from terminal-local state
+     *    whether a packet starts and whether a flit departs this
+     *    cycle, apply the terminal-local start mutations (the
+     *    decision inputs — own queue, own credits, own injection
+     *    channel's busy/dead state — cannot change between the
+     *    phases), and count the planned ids in the ShardSink;
+     *  - between the phases the Network hands each shard, in
+     *    ascending shard order, the first packet and flit id of its
+     *    block (ShardSink::nextPacket / nextFlit);
+     *  - executeInject() (phase B): draw the planned ids from the
+     *    shard's block — ascending terminal order within ascending
+     *    shards, so the id stream is the same at any shard count —
+     *    then build and send the planned flit.
+     *
+     * None of them writes NetworkStats or calls the delivery oracle:
+     * stats and oracle-visible flits go to the ShardSink, which the
+     * Network folds in at the cycle's commit.
      */
 
     /**
-     * Deferred-stat buffer for the sharded step: while attached,
-     * receive()/executeInject() accumulate integer counters as deltas
-     * and queue oracle-visible flits here instead of touching the
-     * shared NetworkStats/DeliveryOracle; the serial commit applies
-     * them in ascending terminal order (Welford/histogram adds and
-     * oracle callbacks are order-sensitive).
+     * Per-shard stat buffer: receive()/planInject()/executeInject()
+     * accumulate integer counters as deltas and queue oracle-visible
+     * flits here instead of touching the shared NetworkStats /
+     * DeliveryOracle; the serial commit applies them, every eject
+     * before every inject, in ascending terminal order
+     * (Welford/histogram adds and oracle callbacks are
+     * order-sensitive).
      */
     struct ShardSink
     {
@@ -107,6 +103,13 @@ class Terminal
         std::uint64_t packetsEjected = 0;
         std::int64_t pendingPacketsDelta = 0;
         int midPacketDelta = 0;
+        /** Packet starts / flit sends planned in phase A. */
+        std::uint64_t plannedPackets = 0;
+        std::uint64_t plannedFlits = 0;
+        /** Next id of the shard's block, set between the phases and
+         *  drawn by executeInject(). */
+        PacketId nextPacket = 0;
+        FlitId nextFlit = 0;
         /** Measured tail flits ejected this cycle, arrival order
          *  (commit: oracle->onEject + latency/hop sample adds). */
         std::vector<Flit> measuredEjects;
@@ -122,23 +125,31 @@ class Terminal
             packetsEjected = 0;
             pendingPacketsDelta = 0;
             midPacketDelta = 0;
+            plannedPackets = 0;
+            plannedFlits = 0;
             measuredEjects.clear();
             measuredInjects.clear();
         }
     };
 
-    /** Attach (or detach, nullptr) the shard's deferred-stat sink. */
+    /** Attach the shard's stat sink (the Network does this for every
+     *  terminal before the first step). */
     void setShardSink(ShardSink *sink) { sink_ = sink; }
 
-    /** Parallel phase A: decide this cycle's injection and apply the
+    /** Phase A: drain ejected flits and returned credits. */
+    void receive(Cycle now);
+
+    /** Phase A: decide this cycle's injection and apply the
      *  terminal-local part (queue pop, VC selection, dest draw). */
     void planInject(Cycle now);
 
-    /** Serial: draw the planned packet/flit ids from the Network. */
-    void assignPlannedIds();
-
-    /** Parallel phase B: send the planned flit, if any. */
-    void executeInject(Cycle now);
+    /** Phase B: draw the planned ids and send the planned flit, if
+     *  any (inline: most active terminals plan nothing). */
+    void executeInject(Cycle now)
+    {
+        if (planStart_ || planSend_)
+            sendPlanned(now);
+    }
 
     /** @} */
 
@@ -148,8 +159,12 @@ class Terminal
         return static_cast<std::int64_t>(queue_.size());
     }
 
-    /** True while a packet is partially injected. */
-    bool midPacket() const { return remainingFlits_ > 0; }
+    /** Packets queued or partially injected: the terminal must run
+     *  again next cycle. */
+    bool hasInjectionWork() const
+    {
+        return !queue_.empty() || remainingFlits_ > 0;
+    }
 
     /** Credits held toward the router-side input VC @p vc (credit
      *  conservation checks). */
@@ -178,7 +193,7 @@ class Terminal
      */
     bool hasActionableWork(Cycle now) const
     {
-        if (!queue_.empty() || remainingFlits_ > 0)
+        if (hasInjectionWork())
             return true;
         if (fromRouter_ != nullptr && fromRouter_->hasFlitArrival(now))
             return true;
@@ -208,6 +223,9 @@ class Terminal
     }
 
   private:
+    /** executeInject()'s body: draw the ids, build and send. */
+    void sendPlanned(Cycle now);
+
     struct Pending
     {
         Cycle create;
@@ -237,9 +255,8 @@ class Terminal
     /** This cycle's injection plan (planInject → executeInject). */
     bool planStart_ = false;
     bool planSend_ = false;
-    FlitId plannedFlit_ = 0;
 
-    /** Deferred-stat sink (nullptr: write shared stats directly). */
+    /** This terminal's shard's stat sink. */
     ShardSink *sink_ = nullptr;
 
     /** Observability (nullptr: tracing off — one dead branch per

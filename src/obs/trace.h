@@ -204,15 +204,15 @@ class TraceSink
 
     /** @} */
 
-    /** @name Sharded-step staging @{
+    /** @name Multi-shard staging @{
      *
-     * Phase workers of a sharded step (DESIGN.md "Sharded step
-     * engine") must not write the shared ring concurrently, so each
-     * shard stages its records into a private buffer installed
+     * Phase workers of a multi-shard step (DESIGN.md "Step engine")
+     * must not write the shared ring concurrently, so each shard
+     * stages its records into a private buffer installed
      * thread-locally; the serial commit replays each phase segment in
-     * ascending-shard order — the exact order the sequential loop
-     * would have recorded — keeping the ring contents, overwrite
-     * behavior and counters bit-identical.
+     * ascending-shard order — the order one shard records them
+     * directly — keeping the ring contents, overwrite behavior and
+     * counters bit-identical.
      */
 
     /** Per-shard record staging buffer. */

@@ -8,9 +8,9 @@
  * platforms, optimization levels and sanitizers, and is compared
  * against a committed fixture under tests/data/.  Each scenario
  * takes a `shards` parameter (NetworkConfig::shards) precisely so
- * the shard-determinism suite can assert that the sharded step
- * engine reproduces the committed fixtures byte for byte WITHOUT
- * regeneration — the contract of docs/DESIGN.md "Sharded step
+ * the shard-determinism suite can assert that the step engine
+ * reproduces the committed fixtures byte for byte at any shard count
+ * WITHOUT regeneration — the contract of docs/DESIGN.md "Step
  * engine".
  *
  * Any change to a scenario invalidates its fixture — bump the

@@ -1,7 +1,7 @@
 /**
  * @file
- * Shard-determinism suite for the sharded step engine
- * (docs/DESIGN.md "Sharded step engine").
+ * Shard-determinism suite for the step engine (docs/DESIGN.md "Step
+ * engine").
  *
  * The engine's contract is exact: `NetworkConfig::shards` is a
  * performance knob, never a semantics knob.  Every observable —
@@ -9,13 +9,16 @@
  * latency doubles, full sweep JSON, liveness diagnoses — must be
  * bit-identical at any shard count, because all cross-shard
  * interaction flows through >= 1-cycle channels and the commit phase
- * replays staged effects in the sequential engine's exact order.
+ * replays staged effects in the order one shard produces them
+ * directly.
  *
  * Concretely, this suite replays the committed golden-trace and
  * idle-equivalence fixtures at --shards 2 and 8 and requires them to
  * pass byte for byte WITHOUT regeneration, then pins 1-vs-2-vs-8
- * equality on a wider 8-router scenario, a full sweep JSON document,
- * a churn (dynamic-service) run and a deadlock-recovery run.  The
+ * equality on a wider 8-router scenario (1- and 4-flit packets,
+ * partly measured under a delivery oracle), a full sweep JSON
+ * document, a churn (dynamic-service) run and a deadlock-recovery
+ * run, and checks that reliable links run on one shard.  The
  * TSan CI leg runs the whole suite to prove the phase workers are
  * race-free.
  *
@@ -27,11 +30,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "common/rss.h"
 #include "fault/churn_model.h"
+#include "fault/error_model.h"
 #include "fixture_scenarios.h"
 #include "harness/churn.h"
 #include "harness/experiment.h"
@@ -42,6 +47,7 @@
 #include "routing/min_adaptive.h"
 #include "routing/routing.h"
 #include "routing/ugal.h"
+#include "sim/delivery_oracle.h"
 #include "sim/liveness.h"
 #include "topology/flattened_butterfly.h"
 #include "topology/topology.h"
@@ -112,9 +118,13 @@ TEST(ShardDeterminism, IdleSweepFixtureByteIdenticalAtAnyShardCount)
 /** A traced UGAL run on the 8-ary 2-flat (64 nodes, 8 routers):
  *  unlike the 2-router golden scenario, 8 shards here put every
  *  router in its own shard, so every inter-router arc is a
- *  cross-shard channel. */
+ *  cross-shard channel.  The middle third of the injection window is
+ *  measured under a DeliveryOracle, so the measured inject/eject
+ *  replay (oracle callbacks, Welford latency/hop adds) is pinned
+ *  along with the trace; with @p packet_size > 1 terminals stay
+ *  mid-packet across cycles, exercising the wormhole stat deltas. */
 std::string
-runEightRouterScenario(int shards)
+runEightRouterScenario(int shards, int packet_size)
 {
     FlattenedButterfly topo(8, 2);
     Ugal algo(topo, false);
@@ -122,19 +132,22 @@ runEightRouterScenario(int shards)
 
     TraceSink sink(1 << 18);
     sink.setLevel(TraceLevel::kFull);
+    DeliveryOracle oracle;
 
     NetworkConfig cfg;
     cfg.numVcs = algo.numVcs();
     cfg.vcDepth = 4;
+    cfg.packetSize = packet_size;
     cfg.seed = 2007;
     cfg.trace = &sink;
+    cfg.oracle = &oracle;
     cfg.shards = shards;
 
     Network net(topo, algo, &pattern, cfg);
     EXPECT_EQ(net.shardCount(), shards);
-    BernoulliInjection inj(0.3, 1, 7);
+    BernoulliInjection inj(0.3, packet_size, 7);
     for (int c = 0; c < 300; ++c) {
-        inj.tick(net, false);
+        inj.tick(net, c >= 100 && c < 200);
         net.step();
     }
     for (int c = 0; c < 2000 && !net.quiescent(); ++c)
@@ -144,18 +157,59 @@ runEightRouterScenario(int shards)
     EXPECT_EQ(sink.droppedRecords(), 0u)
         << "ring overflowed; enlarge the sink";
 
+    const NetworkStats &s = net.stats();
+    EXPECT_GT(s.measuredEjected, 0u);
+    EXPECT_EQ(s.measuredEjected, s.measuredCreated);
+    EXPECT_EQ(s.flitsEjected,
+              s.packetsEjected * static_cast<std::uint64_t>(packet_size));
+    const OracleReport verdict = oracle.report(s.measuredDropped);
+    EXPECT_TRUE(verdict.clean()) << verdict.summary();
+
     std::ostringstream os;
     os << sink.toText();
     fixtures::dumpNetworkState(os, net);
+    os << "oracle " << verdict.summary() << "\n"
+       << std::hexfloat << "packetLatency " << s.packetLatency.mean()
+       << " " << s.packetLatency.variance() << "\n"
+       << "networkLatency " << s.networkLatency.mean() << " "
+       << s.networkLatency.variance() << "\n"
+       << "hops " << s.hops.mean() << " " << s.hops.variance() << "\n";
     return os.str();
+}
+
+/** "" when @p got equals @p want, else the first differing line.
+ *  (gtest's diff of two multi-megabyte texts would exhaust memory.) */
+std::string
+firstDifference(const std::string &want, const std::string &got)
+{
+    std::istringstream w(want), g(got);
+    std::string wl, gl;
+    for (int line = 1;; ++line) {
+        const bool wok = static_cast<bool>(std::getline(w, wl));
+        const bool gok = static_cast<bool>(std::getline(g, gl));
+        if (!wok && !gok)
+            return "";
+        if (wok != gok || wl != gl) {
+            return "line " + std::to_string(line) + ": want '" +
+                   (wok ? wl : "<end>") + "', got '" +
+                   (gok ? gl : "<end>") + "'";
+        }
+    }
 }
 
 TEST(ShardDeterminism, EightRouterTraceIdenticalAcrossShardCounts)
 {
-    const std::string one = runEightRouterScenario(1);
-    ASSERT_FALSE(one.empty());
-    EXPECT_EQ(runEightRouterScenario(2), one);
-    EXPECT_EQ(runEightRouterScenario(8), one);
+    for (const int packet_size : {1, 4}) {
+        SCOPED_TRACE("packet size " + std::to_string(packet_size));
+        const std::string one = runEightRouterScenario(1, packet_size);
+        ASSERT_FALSE(one.empty());
+        for (const int shards : {2, 8}) {
+            SCOPED_TRACE("shards " + std::to_string(shards));
+            EXPECT_EQ(firstDifference(
+                          one, runEightRouterScenario(shards, packet_size)),
+                      "");
+        }
+    }
 }
 
 TEST(ShardDeterminism, ShardCountClampsToRouterCount)
@@ -167,6 +221,45 @@ TEST(ShardDeterminism, ShardCountClampsToRouterCount)
     cfg.shards = 8;
     Network net(topo, algo, nullptr, cfg);
     EXPECT_EQ(net.shardCount(), 2);
+}
+
+/** Reliable links (link retry, explicit or implied by an error
+ *  model) run on one shard, and the constructor says so once. */
+TEST(ShardDeterminism, ReliableLinksRunOnOneShard)
+{
+    FlattenedButterfly topo(4, 2); // 4 routers
+    MinAdaptive algo(topo);
+    ErrorModelConfig ecfg;
+    ecfg.corruptRate = 0.01;
+    ErrorModel errors(topo, ecfg);
+    for (const bool via_errors : {false, true}) {
+        SCOPED_TRACE(via_errors ? "error model" : "linkRetry.enabled");
+        NetworkConfig cfg;
+        cfg.numVcs = algo.numVcs();
+        cfg.shards = 4;
+        if (via_errors)
+            cfg.errors = &errors;
+        else
+            cfg.linkRetry.enabled = true;
+        testing::internal::CaptureStderr();
+        const Network net(topo, algo, nullptr, cfg);
+        const std::string err = testing::internal::GetCapturedStderr();
+        EXPECT_EQ(net.shardCount(), 1);
+        EXPECT_NE(err.find("requested 4 shards, running 1"),
+                  std::string::npos)
+            << err;
+        EXPECT_EQ(err.find("warn:"), err.rfind("warn:"))
+            << "more than one warning: " << err;
+    }
+
+    // A one-shard request on reliable links is not a fallback.
+    NetworkConfig quiet;
+    quiet.numVcs = algo.numVcs();
+    quiet.linkRetry.enabled = true;
+    testing::internal::CaptureStderr();
+    const Network net(topo, algo, nullptr, quiet);
+    EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+    EXPECT_EQ(net.shardCount(), 1);
 }
 
 // ---------------------------------------------------------------------
