@@ -54,33 +54,13 @@ ChurnModel::ChurnModel(const Topology &topo, const ChurnConfig &cfg)
     const std::string bad = validateConfig();
     FBFLY_ASSERT(bad.empty(), "churn config invalid: ", bad);
 
-    // Pair each arc with its reverse (same endpoints, swapped): a
-    // link outage takes both directions down and repairs both.
-    reverseArc_.assign(arcs_.size(), kNoPair);
-    for (std::size_t i = 0; i < arcs_.size(); ++i) {
-        if (reverseArc_[i] != kNoPair)
-            continue;
-        for (std::size_t j = i + 1; j < arcs_.size(); ++j) {
-            if (arcs_[j].src == arcs_[i].dst &&
-                arcs_[j].dst == arcs_[i].src &&
-                reverseArc_[j] == kNoPair) {
-                reverseArc_[i] = j;
-                reverseArc_[j] = i;
-                break;
-            }
-        }
-    }
-
-    hostsTerminal_.assign(
-        static_cast<std::size_t>(topo.numRouters()), 0);
-    for (NodeId n = 0; n < topo.numNodes(); ++n) {
-        hostsTerminal_[topo.injectionRouter(n)] = 1;
-        hostsTerminal_[topo.ejectionRouter(n)] = 1;
-    }
+    // A link outage takes both directions down and repairs both.
+    const ArcGraph graph(topo, arcs_);
+    reverseArc_ = graph.reverseArcs();
 
     std::vector<Episode> episodes;
     generateEpisodes(episodes);
-    buildEvents(episodes);
+    buildEvents(episodes, graph);
 }
 
 void
@@ -136,7 +116,8 @@ ChurnModel::generateEpisodes(std::vector<Episode> &episodes) const
 }
 
 void
-ChurnModel::buildEvents(const std::vector<Episode> &episodes)
+ChurnModel::buildEvents(const std::vector<Episode> &episodes,
+                        const ArcGraph &graph)
 {
     events_.clear();
     events_.reserve(episodes.size() * 2);
@@ -170,7 +151,7 @@ ChurnModel::buildEvents(const std::vector<Episode> &episodes)
 
     if (cfg_.preserveConnectivity && !episodes.empty()) {
         std::vector<char> cancelled(episodes.size(), 0);
-        pruneDisconnecting(cancelled);
+        pruneDisconnecting(graph, cancelled);
         std::vector<ServiceEvent> kept;
         kept.reserve(events_.size());
         for (const ServiceEvent &ev : events_)
@@ -187,93 +168,34 @@ ChurnModel::buildEvents(const std::vector<Episode> &episodes)
 }
 
 void
-ChurnModel::pruneDisconnecting(std::vector<char> &cancelled) const
+ChurnModel::pruneDisconnecting(const ArcGraph &graph,
+                               std::vector<char> &cancelled) const
 {
-    const int num_routers = topo_.numRouters();
-    std::vector<char> downArc(arcs_.size(), 0);
-    std::vector<char> downRouter(
-        static_cast<std::size_t>(num_routers), 0);
+    std::vector<int> downArc(arcs_.size(), 0);
+    std::vector<int> downRouter(
+        static_cast<std::size_t>(topo_.numRouters()), 0);
 
-    // Strong connectivity of the *alive* terminal-hosting routers
-    // over alive arcs, with one trial entity additionally down.
-    const auto connected = [&](std::size_t extra_a,
-                               std::size_t extra_b,
-                               RouterId extra_router) {
-        const auto router_down = [&](RouterId r) {
-            return downRouter[static_cast<std::size_t>(r)] != 0 ||
-                   r == extra_router;
-        };
-        RouterId seed = kInvalid;
-        for (RouterId r = 0; r < num_routers; ++r) {
-            if (hostsTerminal_[r] && !router_down(r)) {
-                seed = r;
-                break;
-            }
-        }
-        if (seed == kInvalid)
-            return true; // no alive terminal routers left to split
-        const auto arc_dead = [&](std::size_t i) {
-            return i == extra_a || i == extra_b || downArc[i] != 0 ||
-                   router_down(arcs_[i].src) ||
-                   router_down(arcs_[i].dst);
-        };
-        for (const bool forward : {true, false}) {
-            std::vector<char> seen(num_routers, 0);
-            std::vector<RouterId> frontier{seed};
-            seen[seed] = 1;
-            while (!frontier.empty()) {
-                const RouterId r = frontier.back();
-                frontier.pop_back();
-                for (std::size_t i = 0; i < arcs_.size(); ++i) {
-                    if (arc_dead(i))
-                        continue;
-                    const RouterId from =
-                        forward ? arcs_[i].src : arcs_[i].dst;
-                    const RouterId to =
-                        forward ? arcs_[i].dst : arcs_[i].src;
-                    if (from == r && !seen[to]) {
-                        seen[to] = 1;
-                        frontier.push_back(to);
-                    }
-                }
-            }
-            for (RouterId r = 0; r < num_routers; ++r)
-                if (hostsTerminal_[r] && !router_down(r) && !seen[r])
-                    return false;
-        }
-        return true;
-    };
-
+    // Each outage is tried against the current down-set and kept
+    // only when the alive terminal-hosting routers stay strongly
+    // connected with it.
     for (const ServiceEvent &ev : events_) {
         if (cancelled[ev.episode])
             continue;
-        switch (ev.kind) {
-        case ServiceEvent::Kind::kLinkUp:
-            downArc[ev.link] = 0;
+        const bool router = ev.kind == ServiceEvent::Kind::kRouterDown ||
+                            ev.kind == ServiceEvent::Kind::kRouterUp;
+        const auto set = [&](int down) {
+            if (router) {
+                downRouter[static_cast<std::size_t>(ev.router)] = down;
+                return;
+            }
+            downArc[ev.link] = down;
             if (reverseArc_[ev.link] != kNoPair)
-                downArc[reverseArc_[ev.link]] = 0;
-            break;
-        case ServiceEvent::Kind::kRouterUp:
-            downRouter[static_cast<std::size_t>(ev.router)] = 0;
-            break;
-        case ServiceEvent::Kind::kLinkDown: {
-            const std::size_t rev = reverseArc_[ev.link];
-            if (!connected(ev.link, rev, kInvalid)) {
-                cancelled[ev.episode] = 1;
-                break;
-            }
-            downArc[ev.link] = 1;
-            if (rev != kNoPair)
-                downArc[rev] = 1;
-            break;
-        }
-        case ServiceEvent::Kind::kRouterDown:
-            if (!connected(kNoPair, kNoPair, ev.router)) {
-                cancelled[ev.episode] = 1;
-                break;
-            }
-            downRouter[static_cast<std::size_t>(ev.router)] = 1;
-            break;
+                downArc[reverseArc_[ev.link]] = down;
+        };
+        set(ev.isDown() ? 1 : 0);
+        if (ev.isDown() && !graph.terminalsConnected(downArc, downRouter)) {
+            cancelled[ev.episode] = 1;
+            set(0);
         }
     }
 }

@@ -23,26 +23,34 @@
  * open, so a run can always drain to quiescence after its service
  * window ends.
  *
+ * The Network merges this schedule with a FaultModel's permanent
+ * failures into one outage schedule and applies both with the same
+ * per-arc/per-router down-cause counts; a permanent failure is a
+ * down whose cause is never released (docs/FAULTS.md, "Overlap
+ * accounting").
+ *
  * Connectivity pruning (preserveConnectivity): walking the schedule
- * in time order with the current down-set, any *link* outage that
- * would disconnect two alive terminal-hosting routers is cancelled
- * (both its down and up events).  Router outages are never pruned:
- * a down router's own terminals are unreachable by design (fail-stop
- * semantics; routing drops their traffic and the drops are
- * accounted), but a router outage that would disconnect the
- * *remaining* alive terminal routers from each other is cancelled.
+ * in time order with the current down-set, any outage that would
+ * disconnect two alive terminal-hosting routers is cancelled (both
+ * its down and up events).  A down router's own terminals do not
+ * count — they are unreachable by design (fail-stop semantics;
+ * routing drops their traffic and the drops are accounted) — so a
+ * router outage is cancelled only when it splits the *remaining*
+ * alive terminal routers from each other.  Pruning sees this model's
+ * episodes only; churn combined with permanent faults is checked by
+ * Network::validate(), which walks the merged schedule.
  */
 
 #ifndef FBFLY_FAULT_CHURN_MODEL_H
 #define FBFLY_FAULT_CHURN_MODEL_H
 
 #include <cstdint>
-#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/types.h"
+#include "fault/connectivity.h"
 #include "topology/topology.h"
 
 namespace fbfly
@@ -110,8 +118,7 @@ struct ServiceEvent
 class ChurnModel
 {
   public:
-    static constexpr std::size_t kNoPair =
-        std::numeric_limits<std::size_t>::max();
+    static constexpr std::size_t kNoPair = ArcGraph::kNoPair;
 
     /** @param topo topology the events refer to (must outlive the
      *         model; arc indices follow topo.arcs()). */
@@ -173,16 +180,16 @@ class ChurnModel
     };
 
     void generateEpisodes(std::vector<Episode> &episodes) const;
-    void buildEvents(const std::vector<Episode> &episodes);
-    void pruneDisconnecting(std::vector<char> &cancelled) const;
+    void buildEvents(const std::vector<Episode> &episodes,
+                     const ArcGraph &graph);
+    void pruneDisconnecting(const ArcGraph &graph,
+                            std::vector<char> &cancelled) const;
 
     const Topology &topo_;
     ChurnConfig cfg_;
     std::vector<Topology::Arc> arcs_;
     /** Paired reverse arc of each arc (kNoPair if unidirectional). */
     std::vector<std::size_t> reverseArc_;
-    /** Routers that host at least one terminal. */
-    std::vector<char> hostsTerminal_;
 
     std::vector<ServiceEvent> events_;
     std::uint64_t downEvents_ = 0;

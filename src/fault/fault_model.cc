@@ -10,34 +10,11 @@ namespace fbfly
 {
 
 FaultModel::FaultModel(const Topology &topo)
-    : topo_(topo), arcs_(topo.arcs())
+    : topo_(topo), arcs_(topo.arcs()), graph_(topo, arcs_)
 {
     arcFail_.assign(arcs_.size(), kNever);
     routerFail_.assign(static_cast<std::size_t>(topo.numRouters()),
                        kNever);
-
-    // Pair each arc with its reverse (same endpoints, swapped) so
-    // link-level (bidirectional) failures can be expressed.
-    reverseArc_.assign(arcs_.size(), kNoPair);
-    for (std::size_t i = 0; i < arcs_.size(); ++i) {
-        if (reverseArc_[i] != kNoPair)
-            continue;
-        for (std::size_t j = i + 1; j < arcs_.size(); ++j) {
-            if (arcs_[j].src == arcs_[i].dst &&
-                arcs_[j].dst == arcs_[i].src &&
-                reverseArc_[j] == kNoPair) {
-                reverseArc_[i] = j;
-                reverseArc_[j] = i;
-                break;
-            }
-        }
-    }
-
-    hostsTerminal_.assign(routerFail_.size(), 0);
-    for (NodeId n = 0; n < topo.numNodes(); ++n) {
-        hostsTerminal_[topo.injectionRouter(n)] = 1;
-        hostsTerminal_[topo.ejectionRouter(n)] = 1;
-    }
 }
 
 void
@@ -81,7 +58,7 @@ FaultModel::failRandomLinks(int count, std::uint64_t seed, Cycle at,
     // themselves), not already failed.
     std::vector<std::size_t> pool;
     for (std::size_t i = 0; i < arcs_.size(); ++i) {
-        if (reverseArc_[i] != kNoPair && reverseArc_[i] < i)
+        if (graph_.reverseArcs()[i] < i)
             continue; // the pair is represented by the lower index
         if (arcFail_[i] != kNever)
             continue;
@@ -98,13 +75,11 @@ FaultModel::failRandomLinks(int count, std::uint64_t seed, Cycle at,
     for (const std::size_t i : pool) {
         if (failed >= count)
             break;
-        const std::size_t rev = reverseArc_[i];
-        if (preserve_connectivity &&
-            !connectedWithout(i, rev == kNoPair ? kNoExtra : rev)) {
+        const std::size_t rev = graph_.reverseArcs()[i];
+        if (preserve_connectivity && !connectedWithout(i, rev))
             continue; // this link is currently a cut edge; skip it
-        }
         failArc(i, at);
-        if (rev != kNoPair)
+        if (rev != ArcGraph::kNoPair)
             failArc(rev, at);
         ++failed;
     }
@@ -161,64 +136,24 @@ FaultModel::anyFaults() const
 bool
 FaultModel::connected() const
 {
-    return connectedWithout(kNoExtra, kNoExtra);
+    return connectedWithout(ArcGraph::kNoPair, ArcGraph::kNoPair);
 }
 
 bool
 FaultModel::connectedWithout(std::size_t extra_a,
                              std::size_t extra_b) const
 {
-    const int num_routers = static_cast<int>(routerFail_.size());
-
+    std::vector<int> arcDown(arcs_.size());
+    for (std::size_t i = 0; i < arcs_.size(); ++i)
+        arcDown[i] = i == extra_a || i == extra_b || arcFail_[i] != kNever;
     // All terminal-hosting routers must themselves be alive.
-    RouterId seed = kInvalid;
-    for (RouterId r = 0; r < num_routers; ++r) {
-        if (!hostsTerminal_[r])
-            continue;
-        if (routerFail_[r] != kNever)
+    std::vector<int> routerDown(routerFail_.size());
+    for (RouterId r = 0; r < topo_.numRouters(); ++r) {
+        routerDown[r] = routerFail_[r] != kNever;
+        if (routerDown[r] != 0 && graph_.hostsTerminal(r))
             return false;
-        if (seed == kInvalid)
-            seed = r;
     }
-    if (seed == kInvalid)
-        return true; // no terminals, nothing to disconnect
-
-    const auto arc_dead = [&](std::size_t i) {
-        return i == extra_a || i == extra_b ||
-               arcFail_[i] != kNever ||
-               routerFail_[arcs_[i].src] != kNever ||
-               routerFail_[arcs_[i].dst] != kNever;
-    };
-
-    // BFS forward (can every terminal router be reached from seed?)
-    // and backward (can seed be reached from every terminal router?):
-    // together this gives the strong connectivity terminals need,
-    // because reachability via seed composes.
-    for (const bool forward : {true, false}) {
-        std::vector<char> seen(num_routers, 0);
-        std::vector<RouterId> frontier{seed};
-        seen[seed] = 1;
-        while (!frontier.empty()) {
-            const RouterId r = frontier.back();
-            frontier.pop_back();
-            for (std::size_t i = 0; i < arcs_.size(); ++i) {
-                if (arc_dead(i))
-                    continue;
-                const RouterId from =
-                    forward ? arcs_[i].src : arcs_[i].dst;
-                const RouterId to =
-                    forward ? arcs_[i].dst : arcs_[i].src;
-                if (from == r && !seen[to]) {
-                    seen[to] = 1;
-                    frontier.push_back(to);
-                }
-            }
-        }
-        for (RouterId r = 0; r < num_routers; ++r)
-            if (hostsTerminal_[r] && !seen[r])
-                return false;
-    }
-    return true;
+    return graph_.terminalsConnected(arcDown, routerDown);
 }
 
 } // namespace fbfly

@@ -17,10 +17,12 @@
  *    directions, plus the injection/ejection channels of its
  *    terminals;
  *  - a FaultModel's faults are permanent — the entity never comes
- *    back for the rest of the run.  Repairable outages are a separate
- *    model: fault/churn_model.h generates MTBF/MTTR renewal schedules
- *    whose downs are matched by repairs (docs/FAULTS.md, "Churn and
- *    repair");
+ *    back for the rest of the run.  The Network applies them as
+ *    never-repaired outages on the same schedule as the repairable
+ *    ones of fault/churn_model.h (MTBF/MTTR renewal schedules whose
+ *    downs are matched by repairs): each failure holds a down-cause
+ *    on its arc or router that no repair releases (docs/FAULTS.md,
+ *    "Churn and repair");
  *  - everything is deterministic: random fault sets are drawn from the
  *    library's own Rng, so a (topology, seed, count) triple always
  *    produces the same fault set.
@@ -39,6 +41,7 @@
 #include <vector>
 
 #include "common/types.h"
+#include "fault/connectivity.h"
 #include "topology/topology.h"
 
 namespace fbfly
@@ -146,24 +149,16 @@ class FaultModel
     const std::vector<Topology::Arc> &arcs() const { return arcs_; }
 
   private:
-    /** Strong-connectivity check with arc @p extra_a / @p extra_b
-     *  (a trial bidirectional failure) additionally dead; pass
-     *  kNoExtra for a plain check. */
-    static constexpr std::size_t kNoExtra =
-        std::numeric_limits<std::size_t>::max();
-    bool connectedWithout(std::size_t extra_a,
-                          std::size_t extra_b) const;
+    /** connected(), with arcs @p extra_a / @p extra_b (a trial
+     *  bidirectional failure; ArcGraph::kNoPair for none) also dead. */
+    bool connectedWithout(std::size_t extra_a, std::size_t extra_b) const;
 
     const Topology &topo_;
     std::vector<Topology::Arc> arcs_;
     std::vector<Cycle> arcFail_;    // per arc, own failure only
     std::vector<Cycle> routerFail_; // per router
-    /** Paired reverse arc of each arc (kNoPair if unidirectional). */
-    std::vector<std::size_t> reverseArc_;
-    static constexpr std::size_t kNoPair =
-        std::numeric_limits<std::size_t>::max();
-    /** Routers that host at least one terminal. */
-    std::vector<char> hostsTerminal_;
+    /** Reverse-arc pairing and terminal connectivity. */
+    ArcGraph graph_;
 };
 
 } // namespace fbfly

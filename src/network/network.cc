@@ -8,6 +8,7 @@
 
 #include "common/log.h"
 #include "fault/churn_model.h"
+#include "fault/connectivity.h"
 #include "fault/error_model.h"
 #include "fault/fault_model.h"
 #include "obs/trace.h"
@@ -155,6 +156,43 @@ Network::validate(const Topology &topo, const RoutingAlgorithm &algo,
             add("fault set disconnects a terminal: some ",
                 "terminal-hosting router is failed or unreachable ",
                 "once all faults are active");
+        } else if (cfg.churn != nullptr && rep.ok() &&
+                   cfg.churn->config().preserveConnectivity) {
+            // The churn model prunes against its own outages only:
+            // replay the merged schedule and report the first down
+            // after which the alive terminal-hosting routers are
+            // split under the faults active by then.
+            const ArcGraph graph(topo, arcs);
+            std::vector<int> arcDown(arcs.size(), 0);
+            std::vector<int> routerDown(
+                static_cast<std::size_t>(num_routers), 0);
+            for (const Outage &o : outageSchedule(cfg)) {
+                const ServiceEvent &ev = o.ev;
+                const int d = ev.isDown() ? 1 : -1;
+                const bool link =
+                    ev.kind == ServiceEvent::Kind::kLinkDown ||
+                    ev.kind == ServiceEvent::Kind::kLinkUp;
+                if (link) {
+                    arcDown[ev.link] += d;
+                    const std::size_t rev = cfg.churn->reverseArc(ev.link);
+                    if (!o.permanent && rev != ChurnModel::kNoPair)
+                        arcDown[rev] += d;
+                } else {
+                    routerDown[static_cast<std::size_t>(ev.router)] += d;
+                }
+                if (d < 0 || graph.terminalsConnected(arcDown, routerDown))
+                    continue;
+                const std::string what = link
+                    ? detail::format("link ", arcs[ev.link].src, "-",
+                                     arcs[ev.link].dst)
+                    : detail::format("router ", ev.router);
+                add(o.permanent ? "fault on " : "churn outage of ", what,
+                    " at cycle ", ev.at, " disconnects the alive ",
+                    "terminal-hosting routers",
+                    o.permanent ? " during churn outages"
+                                : " under the fault set");
+                break;
+            }
         }
     }
     return rep;
@@ -330,32 +368,14 @@ Network::Network(const Topology &topo, RoutingAlgorithm &algo,
             tcomp);
     }
 
-    // Schedule fault activations.
+    // Outage schedule: permanent faults and churn, applied by one
+    // path with per-arc/per-router down-cause counts.
     if (cfg.faults != nullptr) {
-        const FaultModel &fm = *cfg.faults;
-        FBFLY_ASSERT(&fm.topology() == &topo_ &&
-                     fm.numArcs() == numArcs_,
+        FBFLY_ASSERT(&cfg.faults->topology() == &topo_ &&
+                     cfg.faults->numArcs() == numArcs_,
                      "fault model topology mismatch (",
-                     fm.numArcs(), " arcs vs ", numArcs_, ")");
-        for (std::size_t i = 0; i < numArcs_; ++i) {
-            const Cycle at = fm.arcFailCycle(i);
-            if (at != FaultModel::kNever) {
-                faultSchedule_.push_back(
-                    {at, static_cast<std::int64_t>(i), kInvalid});
-            }
-        }
-        for (RouterId r = 0; r < num_routers; ++r) {
-            const Cycle at = fm.routerFailCycle(r);
-            if (at != FaultModel::kNever)
-                faultSchedule_.push_back({at, kInvalid, r});
-        }
-        std::sort(faultSchedule_.begin(), faultSchedule_.end(),
-                  [](const FaultEvent &a, const FaultEvent &b) {
-                      return a.at < b.at;
-                  });
+                     cfg.faults->numArcs(), " arcs vs ", numArcs_, ")");
     }
-
-    // Dynamic-service (churn) schedule.
     if (cfg.churn != nullptr) {
         const ChurnModel &cm = *cfg.churn;
         FBFLY_ASSERT(&cm.topology() == &topo_ &&
@@ -365,17 +385,14 @@ Network::Network(const Topology &topo, RoutingAlgorithm &algo,
         const std::string bad = cm.validateConfig();
         FBFLY_ASSERT(bad.empty(), "churn model config invalid: ",
                      bad);
+    }
+    outages_ = outageSchedule(cfg);
+    if (!outages_.empty()) {
         arcDownCauses_.assign(numArcs_, 0);
-    }
-    if (cfg.faults != nullptr || cfg.churn != nullptr) {
-        arcPermDead_.assign(numArcs_, 0);
-        routerPermDead_.assign(
+        routerDownCauses_.assign(
             static_cast<std::size_t>(num_routers), 0);
+        applyOutages(0);
     }
-    if (cfg.faults != nullptr)
-        applyFaults(0);
-    if (cfg.churn != nullptr)
-        applyChurn(0);
 
     // Shadow-kernel wake-contract verifier: the config flag, or the
     // FBFLY_VERIFY_WAKES environment variable (any value but "0")
@@ -419,65 +436,56 @@ Network::Network(const Topology &topo, RoutingAlgorithm &algo,
     pool_ = std::make_unique<PhasePool>(shardCount_ - 1);
 }
 
-void
-Network::applyFaults(Cycle now)
+std::vector<Network::Outage>
+Network::outageSchedule(const NetworkConfig &cfg)
 {
-    while (nextFault_ < faultSchedule_.size() &&
-           faultSchedule_[nextFault_].at <= now) {
-        const FaultEvent &ev = faultSchedule_[nextFault_++];
-        if (ev.arc != kInvalid) {
-            const auto idx = static_cast<std::size_t>(ev.arc);
-            const auto &arc = arcs_[idx];
-            if (!arcPermDead_.empty())
-                arcPermDead_[idx] = 1; // churn never revives this
-            channels_[idx].kill();
-            routers_[arc.src].killOutput(arc.srcPort);
-        } else {
-            // Router failure: incident arcs are scheduled separately
-            // (FaultModel::arcFailCycle folds router failures in);
-            // here we sever the router's terminals.
-            if (!routerPermDead_.empty())
-                routerPermDead_[static_cast<std::size_t>(
-                    ev.router)] = 1;
-            for (NodeId n = 0; n < topo_.numNodes(); ++n) {
-                if (topo_.injectionRouter(n) == ev.router)
-                    injChannels_[n]->kill();
-                if (topo_.ejectionRouter(n) == ev.router) {
-                    ejChannels_[n]->kill();
-                    routers_[ev.router].killOutput(
-                        topo_.ejectionPort(n));
-                }
-            }
+    std::vector<Outage> out;
+    if (cfg.faults != nullptr) {
+        const FaultModel &fm = *cfg.faults;
+        Outage o;
+        o.permanent = true;
+        o.ev.kind = ServiceEvent::Kind::kLinkDown;
+        for (std::size_t i = 0; i < fm.numArcs(); ++i) {
+            o.ev.at = fm.arcFailCycle(i);
+            o.ev.link = i;
+            if (o.ev.at != FaultModel::kNever)
+                out.push_back(o);
+        }
+        o.ev.kind = ServiceEvent::Kind::kRouterDown;
+        o.ev.link = ChurnModel::kNoPair;
+        for (RouterId r = 0; r < fm.topology().numRouters(); ++r) {
+            o.ev.at = fm.routerFailCycle(r);
+            o.ev.router = r;
+            if (o.ev.at != FaultModel::kNever)
+                out.push_back(o);
         }
     }
+    if (cfg.churn != nullptr)
+        for (const ServiceEvent &ev : cfg.churn->events())
+            out.push_back({ev, false});
+    // Stable: faults stay ahead of churn within a cycle, and churn
+    // keeps its own order (repairs before failures).
+    std::stable_sort(out.begin(), out.end(),
+                     [](const Outage &a, const Outage &b) {
+                         return a.ev.at < b.ev.at;
+                     });
+    return out;
 }
 
 void
-Network::churnKillArc(std::size_t i)
+Network::setArcDown(std::size_t i, bool down)
 {
-    if (++arcDownCauses_[i] != 1)
-        return; // already down via another active episode
-    if (arcPermDead_[i] != 0)
-        return; // permanently failed; churn leaves it alone
+    int &causes = arcDownCauses_[i];
+    FBFLY_ASSERT(down || causes > 0, "unbalanced repair on arc ", i);
+    if (down ? ++causes != 1 : --causes != 0)
+        return; // another cause still holds the arc down
     Channel &ch = channels_[i];
-    if (ch.dead())
+    const auto &arc = arcs_[i];
+    if (down) {
+        ch.kill();
+        routers_[arc.src].killOutput(arc.srcPort);
         return;
-    ch.kill();
-    routers_[arcs_[i].src].killOutput(arcs_[i].srcPort);
-}
-
-void
-Network::churnReviveArc(std::size_t i)
-{
-    FBFLY_ASSERT(arcDownCauses_[i] > 0,
-                 "unbalanced churn repair on arc ", i);
-    if (--arcDownCauses_[i] != 0)
-        return; // still held down by another active episode
-    if (arcPermDead_[i] != 0)
-        return; // permanently failed; never revived
-    Channel &ch = channels_[i];
-    if (!ch.dead())
-        return;
+    }
     const Channel::ReviveLoss loss = ch.revive();
     stats_.churnFlitsLost += loss.flits;
     stats_.churnPacketsLost += loss.packets;
@@ -488,149 +496,114 @@ Network::churnReviveArc(std::size_t i)
     stats_.flitsDropped += loss.flits;
     stats_.packetsUnreachable += loss.packets;
     stats_.measuredDropped += loss.measuredPackets;
+    routers_[arc.src].reviveOutput(
+        arc.srcPort, reviveCredits(ch, arc.dst, arc.dstPort));
+}
 
+void
+Network::setRouterDown(RouterId r, bool down)
+{
+    int &causes = routerDownCauses_[static_cast<std::size_t>(r)];
+    FBFLY_ASSERT(down || causes > 0, "unbalanced repair on router ", r);
+    if (down ? ++causes != 1 : --causes != 0)
+        return; // another cause still holds the router down
+    for (std::size_t i = 0; i < numArcs_; ++i) {
+        if (arcs_[i].src == r || arcs_[i].dst == r)
+            setArcDown(i, down);
+    }
+    for (NodeId n = 0; n < topo_.numNodes(); ++n) {
+        if (topo_.injectionRouter(n) == r) {
+            Channel &ch = *injChannels_[n];
+            if (down) {
+                ch.kill();
+            } else {
+                // Terminal channels are plain wires: revival is
+                // lossless; restore the terminal's credit view.
+                ch.revive();
+                terminals_[n].setCredits(
+                    reviveCredits(ch, r, topo_.injectionPort(n)));
+            }
+        }
+        if (topo_.ejectionRouter(n) == r) {
+            const PortId port = topo_.ejectionPort(n);
+            if (down) {
+                ejChannels_[n]->kill();
+                routers_[r].killOutput(port);
+            } else {
+                // Terminals never return ejection credits, so the
+                // sink's budget is simply restored to "infinite".
+                ejChannels_[n]->revive();
+                routers_[r].reviveOutput(
+                    port, std::vector<int>(
+                              static_cast<std::size_t>(cfg_.numVcs),
+                              Router::kInfiniteCredits));
+            }
+        }
+    }
+}
+
+std::vector<int>
+Network::reviveCredits(const Channel &ch, RouterId r, PortId port) const
+{
     // Recompute the upstream credit levels from ground truth so the
     // per-lane conservation invariant (credits + occupancy +
     // in-flight flits + in-flight credits == vcDepth) holds from
     // this cycle on.  A plain channel kept its wire contents across
     // the outage; a reliable one just zeroed them.
-    const auto &arc = arcs_[i];
-    const Router &down = routers_[arc.dst];
+    const Router &down = routers_[r];
     std::vector<int> cr(static_cast<std::size_t>(cfg_.numVcs));
     for (VcId v = 0; v < cfg_.numVcs; ++v) {
-        const int occ = static_cast<int>(
-            down.inputUnit(arc.dstPort, v).buf.size());
+        const int occ =
+            static_cast<int>(down.inputUnit(port, v).buf.size());
         const int level = cfg_.vcDepth - occ -
                           ch.flitsInFlightOnVc(v) -
                           ch.creditsInFlightOnVc(v);
         FBFLY_ASSERT(level >= 0 && level <= cfg_.vcDepth,
-                     "revive credit level out of range on arc ", i,
-                     " vc ", v, ": ", level);
+                     "revive credit level out of range at router ", r,
+                     " port ", port, " vc ", v, ": ", level);
         cr[static_cast<std::size_t>(v)] = level;
     }
-    routers_[arc.src].reviveOutput(arc.srcPort, cr);
+    return cr;
 }
 
 void
-Network::applyServiceEvent(const ServiceEvent &ev, Cycle now)
+Network::applyOutage(const Outage &o, Cycle now)
 {
-    const ChurnModel &cm = *cfg_.churn;
-    switch (ev.kind) {
-    case ServiceEvent::Kind::kLinkDown: {
-        churnKillArc(ev.link);
-        const std::size_t rev = cm.reverseArc(ev.link);
+    const ServiceEvent &ev = o.ev;
+    const bool down = ev.isDown();
+    const bool link = ev.kind == ServiceEvent::Kind::kLinkDown ||
+                      ev.kind == ServiceEvent::Kind::kLinkUp;
+    if (link) {
+        // A churn episode takes both directions of its link down; a
+        // fault fails one directed arc.
+        setArcDown(ev.link, down);
+        const std::size_t rev = o.permanent
+            ? ChurnModel::kNoPair : cfg_.churn->reverseArc(ev.link);
         if (rev != ChurnModel::kNoPair)
-            churnKillArc(rev);
-        ++stats_.churnDownEvents;
-        if (cfg_.trace != nullptr) {
-            cfg_.trace->record(TraceEventType::kChurn, now,
-                               arcTracks_[ev.link], Flit{},
-                               static_cast<std::int32_t>(ev.link),
-                               static_cast<std::int32_t>(ev.episode));
-        }
-        break;
+            setArcDown(rev, down);
+    } else {
+        setRouterDown(ev.router, down);
     }
-    case ServiceEvent::Kind::kLinkUp: {
-        churnReviveArc(ev.link);
-        const std::size_t rev = cm.reverseArc(ev.link);
-        if (rev != ChurnModel::kNoPair)
-            churnReviveArc(rev);
-        ++stats_.churnRepairEvents;
+
+    // Faults are silent.  Churn on a router the fault set has already
+    // failed changes nothing (the fault's cause holds it down) and
+    // counts nothing.
+    const bool counted =
+        !o.permanent && (link || cfg_.faults == nullptr ||
+                         cfg_.faults->routerFailCycle(ev.router) > now);
+    if (counted) {
+        ++(down ? stats_.churnDownEvents : stats_.churnRepairEvents);
         if (cfg_.trace != nullptr) {
-            cfg_.trace->record(TraceEventType::kRepair, now,
-                               arcTracks_[ev.link], Flit{},
-                               static_cast<std::int32_t>(ev.link),
-                               static_cast<std::int32_t>(ev.episode));
+            cfg_.trace->record(
+                down ? TraceEventType::kChurn : TraceEventType::kRepair,
+                now,
+                link ? arcTracks_[ev.link]
+                     : routerTracks_[static_cast<std::size_t>(
+                           ev.router)],
+                Flit{},
+                link ? static_cast<std::int32_t>(ev.link) : ev.router,
+                static_cast<std::int32_t>(ev.episode));
         }
-        break;
-    }
-    case ServiceEvent::Kind::kRouterDown: {
-        const auto r = static_cast<std::size_t>(ev.router);
-        if (routerPermDead_[r] != 0)
-            break; // fail-stopped for good; nothing left to churn
-        for (std::size_t i = 0; i < numArcs_; ++i) {
-            if (arcs_[i].src == ev.router ||
-                arcs_[i].dst == ev.router)
-                churnKillArc(i);
-        }
-        for (NodeId n = 0; n < topo_.numNodes(); ++n) {
-            if (topo_.injectionRouter(n) == ev.router &&
-                !injChannels_[n]->dead())
-                injChannels_[n]->kill();
-            if (topo_.ejectionRouter(n) == ev.router) {
-                if (!ejChannels_[n]->dead())
-                    ejChannels_[n]->kill();
-                routers_[ev.router].killOutput(
-                    topo_.ejectionPort(n));
-            }
-        }
-        ++stats_.churnDownEvents;
-        if (cfg_.trace != nullptr) {
-            cfg_.trace->record(TraceEventType::kChurn, now,
-                               routerTracks_[r], Flit{},
-                               ev.router,
-                               static_cast<std::int32_t>(ev.episode));
-        }
-        break;
-    }
-    case ServiceEvent::Kind::kRouterUp: {
-        const auto r = static_cast<std::size_t>(ev.router);
-        if (routerPermDead_[r] != 0)
-            break;
-        for (std::size_t i = 0; i < numArcs_; ++i) {
-            if (arcs_[i].src == ev.router ||
-                arcs_[i].dst == ev.router)
-                churnReviveArc(i);
-        }
-        for (NodeId n = 0; n < topo_.numNodes(); ++n) {
-            if (topo_.injectionRouter(n) == ev.router &&
-                injChannels_[n]->dead()) {
-                // Terminal channels are plain wires: revival is
-                // lossless; restore the terminal's credit view from
-                // ground truth (mirrors churnReviveArc).
-                Channel &ch = *injChannels_[n];
-                ch.revive();
-                const Router &down =
-                    routers_[topo_.injectionRouter(n)];
-                const PortId port = topo_.injectionPort(n);
-                std::vector<int> cr(
-                    static_cast<std::size_t>(cfg_.numVcs));
-                for (VcId v = 0; v < cfg_.numVcs; ++v) {
-                    const int occ = static_cast<int>(
-                        down.inputUnit(port, v).buf.size());
-                    const int level = cfg_.vcDepth - occ -
-                                      ch.flitsInFlightOnVc(v) -
-                                      ch.creditsInFlightOnVc(v);
-                    FBFLY_ASSERT(level >= 0 &&
-                                 level <= cfg_.vcDepth,
-                                 "revive credit level out of range "
-                                 "on injection lane of node ", n,
-                                 " vc ", v, ": ", level);
-                    cr[static_cast<std::size_t>(v)] = level;
-                }
-                terminals_[n].setCredits(cr);
-            }
-            if (topo_.ejectionRouter(n) == ev.router) {
-                if (ejChannels_[n]->dead())
-                    ejChannels_[n]->revive();
-                // Terminals never return ejection credits, so the
-                // sink's budget is simply restored to "infinite".
-                routers_[ev.router].reviveOutput(
-                    topo_.ejectionPort(n),
-                    std::vector<int>(
-                        static_cast<std::size_t>(cfg_.numVcs),
-                        Router::kInfiniteCredits));
-            }
-        }
-        ++stats_.churnRepairEvents;
-        if (cfg_.trace != nullptr) {
-            cfg_.trace->record(TraceEventType::kRepair, now,
-                               routerTracks_[r], Flit{},
-                               ev.router,
-                               static_cast<std::int32_t>(ev.episode));
-        }
-        break;
-    }
     }
 
     // Repair invalidates stale route decisions everywhere: escape
@@ -639,45 +612,38 @@ Network::applyServiceEvent(const ServiceEvent &ev, Cycle now)
     // repaired capacity, this breaks frozen rings of lateral (hot-
     // potato) decisions that can hold a credit cycle closed after
     // every repair has landed.
-    if (!ev.isDown()) {
+    if (!down) {
         for (auto &r : routers_)
             r.invalidateRoutes();
     }
 }
 
 void
-Network::applyChurn(Cycle now)
+Network::applyOutages(Cycle now)
 {
-    const auto &events = cfg_.churn->events();
-    while (nextService_ < events.size() &&
-           events[nextService_].at <= now) {
-        applyServiceEvent(events[nextService_++], now);
-        // Reconfiguration counts as forward progress: an epoch
-        // transition or mass-repair burst must not trip the
-        // watchdog while the network re-converges.
-        lastProgress_ = now;
+    while (nextOutage_ < outages_.size() &&
+           outages_[nextOutage_].ev.at <= now) {
+        const Outage &o = outages_[nextOutage_++];
+        applyOutage(o, now);
+        // Churn reconfiguration counts as forward progress: an epoch
+        // transition or mass-repair burst must not trip the watchdog
+        // while the network re-converges.
+        if (!o.permanent)
+            lastProgress_ = now;
     }
 }
 
 void
 Network::step()
 {
-    bool reconfigured = false;
-    if (nextFault_ < faultSchedule_.size()) {
-        const std::size_t first = nextFault_;
-        applyFaults(now_);
-        reconfigured |= nextFault_ != first;
-    }
-    if (cfg_.churn != nullptr) {
-        const std::size_t first = nextService_;
-        applyChurn(now_);
-        reconfigured |= nextService_ != first;
-    }
     // A topology change can unblock, strand or re-expose work on any
     // component (kills, revives, network-wide route invalidation),
     // so the whole network re-examines itself this cycle.
-    if (reconfigured)
+    if (nextOutage_ < outages_.size() &&
+        outages_[nextOutage_].ev.at <= now_) {
+        applyOutages(now_);
         active_.wakeAllNext();
+    }
 
     const Cycle t = now_;
     const bool anyActive = active_.beginCycle(t);

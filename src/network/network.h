@@ -19,6 +19,7 @@
 
 #include "common/rng.h"
 #include "common/types.h"
+#include "fault/churn_model.h"
 #include "network/active_set.h"
 #include "network/channel.h"
 #include "network/router.h"
@@ -36,8 +37,6 @@ class RoutingAlgorithm;
 class TrafficPattern;
 class FaultModel;
 class ErrorModel;
-class ChurnModel;
-struct ServiceEvent;
 class DeliveryOracle;
 class TraceSink;
 
@@ -260,7 +259,11 @@ class Network
      *  - terminal injection/ejection ports out of range or colliding
      *    with inter-router ports;
      *  - fault sets built over a different topology, or that
-     *    disconnect (or isolate) a terminal-hosting router.
+     *    disconnect (or isolate) a terminal-hosting router;
+     *  - faults combined with connectivity-preserving churn whose
+     *    merged schedule disconnects the alive terminal-hosting
+     *    routers (the churn model prunes against its own outages
+     *    only).
      *
      * Pure function of its inputs; does not build the network.
      */
@@ -478,24 +481,42 @@ class Network
     /** @} */
 
   private:
-    /** Activate every fault whose cycle is <= @p now. */
-    void applyFaults(Cycle now);
+    /** @name Outages: permanent faults and churn (docs/FAULTS.md) @{ */
 
-    /** @name Dynamic service (churn/repair) @{ */
+    /** One entry of the outage schedule: a churn service event, or a
+     *  permanent fault — a down event that is never repaired. */
+    struct Outage
+    {
+        ServiceEvent ev;
+        bool permanent = false;
+    };
 
-    /** Apply every churn event whose cycle is <= @p now. */
-    void applyChurn(Cycle now);
+    /** cfg.faults' failures (one arc-down per failed arc, one
+     *  router-down per failed router) and cfg.churn's events merged
+     *  into one time-sorted schedule, faults first within a cycle. */
+    static std::vector<Outage> outageSchedule(const NetworkConfig &cfg);
 
-    /** Apply one service event (kill or repair). */
-    void applyServiceEvent(const ServiceEvent &ev, Cycle now);
+    /** Apply every outage entry whose cycle is <= @p now. */
+    void applyOutages(Cycle now);
 
-    /** Register one more down-cause on arc @p i (link episode or
-     *  incident-router episode); kills the channel on 0 -> 1. */
-    void churnKillArc(std::size_t i);
+    /** Apply one outage entry (kill or repair). */
+    void applyOutage(const Outage &o, Cycle now);
 
-    /** Drop one down-cause on arc @p i; revives the channel (and
-     *  recomputes upstream credits) when the count reaches zero. */
-    void churnReviveArc(std::size_t i);
+    /** Take (@p down) or release one down-cause on arc @p i (its
+     *  link's outage, an incident router's, or a fault): the channel
+     *  dies on 0 -> 1 and revives, with recomputed upstream credits,
+     *  on 1 -> 0. */
+    void setArcDown(std::size_t i, bool down);
+
+    /** The same for router @p r: on 0 <-> 1 its incident arcs (one
+     *  cause each) and its terminals' channels die or revive. */
+    void setRouterDown(RouterId r, bool down);
+
+    /** Ground-truth credit levels for the upstream end of channel
+     *  @p ch, which feeds input @p port of router @p r: vcDepth minus
+     *  downstream occupancy and flits and credits in flight. */
+    std::vector<int> reviveCredits(const Channel &ch, RouterId r,
+                                   PortId port) const;
 
     /** @} */
 
@@ -522,28 +543,16 @@ class Network
     std::vector<Channel *> injChannels_;
     std::vector<Channel *> ejChannels_;
 
-    /** Pending fault activations, sorted by cycle. */
-    struct FaultEvent
-    {
-        Cycle at;
-        /** Arc index, or kInvalid for a router failure. */
-        std::int64_t arc;
-        RouterId router;
-    };
-    std::vector<FaultEvent> faultSchedule_;
-    std::size_t nextFault_ = 0;
-
-    /** @name Dynamic-service (churn) state @{ */
-    /** Next unapplied event in cfg_.churn->events(). */
-    std::size_t nextService_ = 0;
-    /** Per-arc count of active down-causes (its own link episode
-     *  plus any incident-router episode); the channel is dead while
-     *  the count is nonzero.  Empty when cfg_.churn is null. */
+    /** @name Outage state @{ */
+    /** The merged fault + churn schedule (outageSchedule()). */
+    std::vector<Outage> outages_;
+    /** Next unapplied entry of outages_. */
+    std::size_t nextOutage_ = 0;
+    /** Per-arc and per-router counts of active down-causes; an arc or
+     *  router is down while its count is nonzero.  A permanent fault
+     *  holds a cause it never releases.  Empty when outages_ is. */
     std::vector<int> arcDownCauses_;
-    /** Arcs/routers failed permanently by cfg_.faults — churn never
-     *  kills or revives these. */
-    std::vector<char> arcPermDead_;
-    std::vector<char> routerPermDead_;
+    std::vector<int> routerDownCauses_;
     /** @} */
 
     /** Shadow-kernel wake-contract verifier: run the full-loop work

@@ -1,7 +1,7 @@
 /**
  * @file
  * Pinned fixture scenarios shared by the golden-trace,
- * idle-equivalence and shard-determinism suites.
+ * idle-equivalence, fault+churn and shard-determinism suites.
  *
  * Every helper here produces integer-only canonical text (trace
  * text, counters, per-arc flit counts) that is byte-identical across
@@ -28,13 +28,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
+#include "fault/churn_model.h"
 #include "fault/error_model.h"
+#include "fault/fault_model.h"
 #include "harness/sweep.h"
 #include "network/network.h"
 #include "obs/trace.h"
@@ -59,6 +63,8 @@ inline const char *const kBurstyFixture =
     FBFLY_TEST_DATA_DIR "/idle_equivalence_bursty.txt";
 inline const char *const kSweepFixture =
     FBFLY_TEST_DATA_DIR "/idle_equivalence_sweep.txt";
+inline const char *const kFaultChurnFixture =
+    FBFLY_TEST_DATA_DIR "/fault_churn_4ary2flat_minad.txt";
 
 /** Read a committed fixture in full ("" + test failure if absent). */
 inline std::string
@@ -264,6 +270,158 @@ runIdleSweep(int threads, int shards = 1)
     engine.addLoadSweep("idle MIN AD / uniform", topo, min_ad,
                         pattern, netcfg, expcfg, {0.01, 0.02});
     return engine.run();
+}
+
+/**
+ * The pinned fault + churn scenario: a MIN AD run on the 4-ary
+ * 2-flat under a link + router ChurnModel schedule, combined with a
+ * FaultModel derived from that schedule:
+ *  - a permanent link fault at the midpoint of the first link
+ *    episode (the link's own repair must not revive it, and its
+ *    later episodes churn a permanently dead link);
+ *  - a permanent router fault at the midpoint of the first episode
+ *    of a router that has more episodes (its repair and its later
+ *    episodes are churn on a router held down for good);
+ *  - a time-triggered link fault mid-run on the lowest link the
+ *    schedule never touches.
+ * Traffic is Bernoulli injection with a measured window; the run
+ * ends well after every repair has landed.  Returns the
+ * packet-level trace (inject/eject/drop plus churn/repair) and the
+ * state dump, churn counters and per-channel liveness included.
+ */
+inline std::string
+runFaultChurnScenario(int shards = 1)
+{
+    FlattenedButterfly topo(4, 2); // 16 nodes, 4 routers
+    MinAdaptive algo(topo);
+
+    ChurnConfig cc;
+    cc.linkMtbf = 1500;
+    cc.linkMttr = 200;
+    cc.routerMtbf = 800;
+    cc.routerMttr = 150;
+    cc.horizon = 1000;
+    cc.seed = 2;
+    const ChurnModel churn(topo, cc);
+    const std::vector<ServiceEvent> &events = churn.events();
+    const auto repairOf = [&](const ServiceEvent &down) {
+        for (const ServiceEvent &ev : events)
+            if (!ev.isDown() && ev.episode == down.episode)
+                return ev.at;
+        return Cycle{0};
+    };
+
+    FaultModel faults(topo);
+    const std::vector<Topology::Arc> &arcs = churn.arcs();
+    const ServiceEvent *linkEp = nullptr;
+    const ServiceEvent *routerEp = nullptr;
+    for (const ServiceEvent &ev : events) {
+        if (ev.kind == ServiceEvent::Kind::kLinkDown &&
+            linkEp == nullptr)
+            linkEp = &ev;
+        if (ev.kind != ServiceEvent::Kind::kRouterDown ||
+            routerEp != nullptr)
+            continue;
+        for (const ServiceEvent &later : events)
+            if (later.kind == ServiceEvent::Kind::kRouterDown &&
+                later.router == ev.router && later.at > ev.at)
+                routerEp = &ev;
+    }
+    EXPECT_NE(linkEp, nullptr);
+    EXPECT_NE(routerEp, nullptr);
+    if (linkEp == nullptr || routerEp == nullptr)
+        return std::string();
+    const Topology::Arc &failedLink = arcs[linkEp->link];
+    const Cycle linkUp = repairOf(*linkEp);
+    const Cycle routerUp = repairOf(*routerEp);
+    faults.failLinkBetween(failedLink.src, failedLink.dst,
+                           (linkEp->at + linkUp) / 2);
+    faults.failRouter(routerEp->router, (routerEp->at + routerUp) / 2);
+
+    std::vector<char> churned(arcs.size(), 0);
+    for (const ServiceEvent &ev : events)
+        if (ev.kind == ServiceEvent::Kind::kLinkDown)
+            churned[ev.link] = 1;
+    std::size_t quiet = 0;
+    while (quiet < arcs.size() &&
+           (churned[quiet] != 0 || churn.reverseArc(quiet) < quiet))
+        ++quiet;
+    EXPECT_LT(quiet, arcs.size());
+    if (quiet == arcs.size())
+        return std::string();
+    faults.failLinkBetween(arcs[quiet].src, arcs[quiet].dst, 300);
+
+    TraceSink sink(1 << 15);
+    sink.setLevel(TraceLevel::kPackets);
+
+    NetworkConfig cfg;
+    cfg.numVcs = algo.numVcs();
+    cfg.vcDepth = 4;
+    cfg.seed = 2007;
+    cfg.faults = &faults;
+    cfg.churn = &churn;
+    cfg.trace = &sink;
+    cfg.shards = shards;
+
+    // Explicit destinations that skip the failed router's terminals:
+    // packets addressed to a dead router spend their escape budget
+    // on detours that are not deadlock-free (docs/FAULTS.md), and
+    // under uniform traffic they lock this small network up within a
+    // few hundred cycles, leaving nothing to pin.
+    Network net(topo, algo, nullptr, cfg);
+    std::vector<NodeId> dests;
+    for (NodeId n = 0; n < net.numNodes(); ++n)
+        if (topo.ejectionRouter(n) != routerEp->router)
+            dests.push_back(n);
+    Rng rng(7);
+    for (int c = 0; c < 1000; ++c) {
+        for (NodeId n = 0; n < net.numNodes(); ++n) {
+            if (rng.nextDouble() >= 0.06)
+                continue;
+            const NodeId dst = dests[rng.nextBounded(dests.size())];
+            if (dst != n)
+                net.terminal(n).enqueuePacket(net.now(), dst,
+                                              c >= 200 && c < 800);
+        }
+        net.step();
+    }
+    for (int c = 0; c < 300; ++c)
+        net.step();
+    EXPECT_GT(net.now(), std::max(linkUp, routerUp));
+    EXPECT_EQ(net.checkInvariants(), "");
+    EXPECT_EQ(sink.droppedRecords(), 0u)
+        << "fault+churn ring overflowed; enlarge the sink";
+
+    // Repairs never revive a permanently failed entity.
+    for (std::size_t i = 0; i < arcs.size(); ++i) {
+        if (faults.arcFailCycle(i) != FaultModel::kNever) {
+            EXPECT_TRUE(net.arcChannel(i).dead()) << "arc " << i;
+        }
+    }
+    for (NodeId n = 0; n < net.numNodes(); ++n) {
+        if (topo.injectionRouter(n) != routerEp->router)
+            continue;
+        EXPECT_TRUE(net.injectionChannel(n).dead()) << "node " << n;
+        EXPECT_TRUE(net.ejectionChannel(n).dead()) << "node " << n;
+    }
+
+    const NetworkStats &s = net.stats();
+    std::ostringstream os;
+    os << sink.toText();
+    dumpNetworkState(os, net);
+    os << "churnDownEvents " << s.churnDownEvents << "\n"
+       << "churnRepairEvents " << s.churnRepairEvents << "\n"
+       << "churnFlitsLost " << s.churnFlitsLost << "\n"
+       << "churnPacketsLost " << s.churnPacketsLost << "\n"
+       << "lastProgress " << net.lastProgressCycle() << "\n";
+    for (std::size_t i = 0; i < arcs.size(); ++i)
+        os << "dead arc " << i << " "
+           << (net.arcChannel(i).dead() ? 1 : 0) << "\n";
+    for (NodeId n = 0; n < net.numNodes(); ++n)
+        os << "dead node " << n << " "
+           << (net.injectionChannel(n).dead() ? 1 : 0) << " "
+           << (net.ejectionChannel(n).dead() ? 1 : 0) << "\n";
+    return os.str();
 }
 
 /** Integer-only canonical text of a sweep run (fixture form). */

@@ -6,7 +6,9 @@
  * determinism contract of the dynamic-service harness
  * (harness/churn.h) — 1-thread and 4-thread runChurnSweep must be
  * bit-identical, and a zero-churn run must reproduce a plain run of
- * the same harness bit for bit.
+ * the same harness bit for bit — plus churn combined with permanent
+ * faults: a pinned fault+churn fixture and the pre-flight check that
+ * churn pruning honours the fault set.
  */
 
 #include <gtest/gtest.h>
@@ -16,10 +18,14 @@
 
 #include "common/rng.h"
 #include "fault/churn_model.h"
+#include "fault/fault_model.h"
+#include "fixture_scenarios.h"
 #include "harness/churn.h"
 #include "harness/result_writer.h"
 #include "network/channel.h"
+#include "network/network.h"
 #include "obs/trace.h"
+#include "routing/min_adaptive.h"
 #include "topology/flattened_butterfly.h"
 #include "traffic/traffic_pattern.h"
 
@@ -535,6 +541,71 @@ TEST(ChurnDeterminism, ZeroChurnReproducesPlainRunBitForBit)
               std::string::npos)
         << unguarded.load.diagnostics;
     EXPECT_FALSE(unguarded.load.valid());
+}
+
+// --- Churn combined with permanent faults -------------------------
+
+TEST(ChurnFaults, ScenarioMatchesFixture)
+{
+    fixtures::checkAgainstFixture(fixtures::runFaultChurnScenario(),
+                                  fixtures::kFaultChurnFixture);
+}
+
+TEST(ChurnFaults, ValidateRejectsChurnThatCutsAFaultSetBridge)
+{
+    // With links 0-2, 0-3 and 1-3 failed, the 4-ary 2-flat's four
+    // routers hang on the path 0-1-2-3: every surviving link is a
+    // bridge.  The ChurnModel prunes against its own episodes only,
+    // so its schedule still takes those bridges down; the combined
+    // pre-flight walk must catch the first one.
+    FlattenedButterfly topo(4, 2);
+    MinAdaptive algo(topo);
+    FaultModel faults(topo);
+    faults.failLinkBetween(0, 2);
+    faults.failLinkBetween(0, 3);
+    faults.failLinkBetween(1, 3);
+    ASSERT_TRUE(faults.connected());
+
+    ChurnConfig cc = linkChurnConfig(300, 100, 5000, 7);
+    const ChurnModel churn(topo, cc);
+    ASSERT_TRUE(churn.anyChurn());
+
+    NetworkConfig cfg;
+    cfg.numVcs = algo.numVcs();
+    cfg.faults = &faults;
+    cfg.churn = &churn;
+    const ValidationReport rep = Network::validate(topo, algo, cfg);
+    ASSERT_FALSE(rep.ok());
+    EXPECT_NE(rep.summary().find("link 0-1 at cycle 178"),
+              std::string::npos)
+        << rep.summary();
+
+    // A fault that lands while a churn outage is active and cuts the
+    // network together with it is caught too: the schedule holds
+    // 1-3 down over [108, 134), and 1-2 then fails for good.
+    FaultModel late(topo);
+    late.failLinkBetween(0, 2);
+    late.failLinkBetween(0, 3);
+    late.failLinkBetween(1, 2, 120);
+    ASSERT_TRUE(late.connected());
+    cfg.faults = &late;
+    const ValidationReport lateRep = Network::validate(topo, algo, cfg);
+    ASSERT_FALSE(lateRep.ok());
+    EXPECT_NE(lateRep.summary().find("fault on link 1-2 at cycle 120"),
+              std::string::npos)
+        << lateRep.summary();
+    cfg.faults = &faults;
+
+    // Unpruned churn may disconnect on purpose: nothing to report.
+    cc.preserveConnectivity = false;
+    const ChurnModel raw(topo, cc);
+    cfg.churn = &raw;
+    EXPECT_TRUE(Network::validate(topo, algo, cfg).ok());
+
+    // Either model alone is sound.
+    cfg.churn = &churn;
+    cfg.faults = nullptr;
+    EXPECT_TRUE(Network::validate(topo, algo, cfg).ok());
 }
 
 } // namespace

@@ -12,9 +12,10 @@
  * replays staged effects in the order one shard produces them
  * directly.
  *
- * Concretely, this suite replays the committed golden-trace and
- * idle-equivalence fixtures at --shards 2 and 8 and requires them to
- * pass byte for byte WITHOUT regeneration, then pins 1-vs-2-vs-8
+ * Concretely, this suite replays the committed golden-trace,
+ * idle-equivalence and fault+churn fixtures at --shards 2 and 8
+ * (golden and fault+churn at 1 too) and requires them to pass byte
+ * for byte WITHOUT regeneration, then pins 1-vs-2-vs-8
  * equality on a wider 8-router scenario (1- and 4-flit packets,
  * partly measured under a delivery oracle), a full sweep JSON
  * document, a churn (dynamic-service) run and a deadlock-recovery
@@ -69,10 +70,12 @@ namespace
 
 using fixtures::canonicalSweepText;
 using fixtures::kBurstyFixture;
+using fixtures::kFaultChurnFixture;
 using fixtures::kGoldenFixture;
 using fixtures::kSweepFixture;
 using fixtures::readFixture;
 using fixtures::runBurstyScenario;
+using fixtures::runFaultChurnScenario;
 using fixtures::runGoldenScenario;
 using fixtures::runIdleSweep;
 
@@ -97,6 +100,16 @@ TEST(ShardDeterminism, BurstyFixtureByteIdenticalAtAnyShardCount)
     for (const int shards : {2, 8}) {
         SCOPED_TRACE("shards " + std::to_string(shards));
         EXPECT_EQ(runBurstyScenario(shards), expected);
+    }
+}
+
+TEST(ShardDeterminism, FaultChurnFixtureByteIdenticalAtAnyShardCount)
+{
+    const std::string expected = readFixture(kFaultChurnFixture);
+    ASSERT_FALSE(expected.empty());
+    for (const int shards : {1, 2, 8}) {
+        SCOPED_TRACE("shards " + std::to_string(shards));
+        EXPECT_EQ(runFaultChurnScenario(shards), expected);
     }
 }
 

@@ -21,6 +21,12 @@ and series must be present with an equal value; gauges and series
 the baseline lacks are allowed (new observability never invalidates
 the pinned results), new counters are not.
 
+Degradation sweeps (``bench: degradation_sweep``, e.g. the committed
+BENCH_degradation_sweep.json) carry no rate data at all; the same
+exact-equality lane is their whole check — every point's throughput,
+latency, status and delivery audit under the deterministic fault sets
+must equal the baseline's.
+
 Documents carrying xscale metadata (``xscale_shard_speedup_8`` from
 bench/xscale_sweep) additionally get two self-relative lanes that
 need no baseline at all: the peak-RSS-per-terminal ceiling (the
@@ -55,6 +61,9 @@ THRESHOLD = 0.35  # fail below 35% of the committed baseline
 XSCALE_SPEEDUP_FLOOR = 3.0  # 8-shard self-relative, >= 8 cores only
 XSCALE_MIN_THREADS = 8
 XSCALE_RSS_CEILING = 16 * 1024  # bytes per terminal
+# Benches whose documents carry no rate data: the exact-equality lane
+# is their whole check.
+EXACT_ONLY_BENCHES = ("degradation_sweep",)
 
 
 def load_doc(path):
@@ -141,15 +150,18 @@ def xscale_checks(meta):
     return failures
 
 
-def churn_checks(doc, base_doc):
-    """Churn lane: every point equals the baseline's point exactly,
-    apart from wall_seconds and metric gauges/series the baseline
-    does not have."""
+def equality_checks(doc, base_doc):
+    """Exact lane (churn and degradation sweeps): every point equals
+    the baseline's point exactly, apart from wall_seconds and metric
+    gauges/series the baseline does not have."""
     failures = []
+    if doc.get("bench") != base_doc.get("bench"):
+        return [f"bench: {doc.get('bench')!r} != baseline "
+                f"{base_doc.get('bench')!r}"]
     points = doc.get("points", [])
     base_points = base_doc.get("points", [])
     if len(points) != len(base_points):
-        return [f"churn points: {len(points)} vs baseline "
+        return [f"points: {len(points)} vs baseline "
                 f"{len(base_points)}"]
     for cur, base in zip(points, base_points):
         label = f"point_{base.get('index')}_{base.get('series', '')}"
@@ -247,25 +259,21 @@ def main(argv):
             sys.exit(f"usage: {argv[0]} CURRENT.json BASELINE.json "
                      "(pareto documents need the baseline)")
         baseline_doc = load_doc(argv[2])
-        failures = pareto_checks(current_doc.get("metadata", {}),
-                                 baseline_doc.get("metadata", {}))
-        if failures:
-            print("\nperf smoke FAILED:")
-            for f in failures:
-                print(f"  {f}")
-            return 1
-        print("\nperf smoke passed")
-        return 0
+        return report(pareto_checks(current_doc.get("metadata", {}),
+                                    baseline_doc.get("metadata", {})))
     baseline_path = argv[2] if len(argv) == 3 else \
         "BENCH_micro_kernel.json"
     baseline_doc = load_doc(baseline_path)
-    current = step_rates(argv[1], current_doc)
-    baseline = step_rates(baseline_path, baseline_doc)
 
     failures = []
-    if any(p.get("kind") == "churn"
-           for p in baseline_doc.get("points", [])):
-        failures += churn_checks(current_doc, baseline_doc)
+    exact_only = baseline_doc.get("bench") in EXACT_ONLY_BENCHES
+    if exact_only or any(p.get("kind") == "churn"
+                         for p in baseline_doc.get("points", [])):
+        failures += equality_checks(current_doc, baseline_doc)
+    if exact_only:
+        return report(failures)
+    current = step_rates(argv[1], current_doc)
+    baseline = step_rates(baseline_path, baseline_doc)
     current_meta = current_doc.get("metadata", {})
     if "xscale_shard_speedup_8" in current_meta or \
             "peak_rss_per_terminal_bytes" in current_meta:
@@ -282,6 +290,10 @@ def main(argv):
         if ratio < THRESHOLD:
             failures.append(
                 f"{key}: {cur:.0f} < {THRESHOLD} * {base:.0f}")
+    return report(failures)
+
+
+def report(failures):
     if failures:
         print("\nperf smoke FAILED:")
         for f in failures:
