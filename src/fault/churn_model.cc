@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 
+#include "common/json.h"
 #include "common/log.h"
 #include "common/rng.h"
 
@@ -31,19 +30,6 @@ expDraw(Rng &rng, double mean)
     if (d > kCap)
         d = kCap;
     return static_cast<Cycle>(d);
-}
-
-/** Shortest decimal form that round-trips (metadata values). */
-std::string
-formatDouble(double x)
-{
-    char buf[40];
-    for (int prec = 15; prec <= 17; ++prec) {
-        std::snprintf(buf, sizeof buf, "%.*g", prec, x);
-        if (std::strtod(buf, nullptr) == x)
-            break;
-    }
-    return buf;
 }
 
 } // namespace
@@ -229,10 +215,10 @@ std::vector<std::pair<std::string, std::string>>
 ChurnModel::metadata() const
 {
     std::vector<std::pair<std::string, std::string>> kv;
-    kv.emplace_back("link_mtbf", formatDouble(cfg_.linkMtbf));
-    kv.emplace_back("link_mttr", formatDouble(cfg_.linkMttr));
-    kv.emplace_back("router_mtbf", formatDouble(cfg_.routerMtbf));
-    kv.emplace_back("router_mttr", formatDouble(cfg_.routerMttr));
+    kv.emplace_back("link_mtbf", jsonNumber(cfg_.linkMtbf));
+    kv.emplace_back("link_mttr", jsonNumber(cfg_.linkMttr));
+    kv.emplace_back("router_mtbf", jsonNumber(cfg_.routerMtbf));
+    kv.emplace_back("router_mttr", jsonNumber(cfg_.routerMttr));
     kv.emplace_back("churn_horizon", std::to_string(cfg_.horizon));
     kv.emplace_back("churn_seed", std::to_string(cfg_.seed));
     kv.emplace_back("preserve_connectivity",

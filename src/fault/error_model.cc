@@ -1,31 +1,12 @@
 #include "fault/error_model.h"
 
-#include <cstdio>
-#include <cstdlib>
 #include <sstream>
 
+#include "common/json.h"
 #include "common/log.h"
 
 namespace fbfly
 {
-
-namespace
-{
-
-/** Shortest decimal form that round-trips (for metadata values). */
-std::string
-formatDouble(double x)
-{
-    char buf[40];
-    for (int prec = 15; prec <= 17; ++prec) {
-        std::snprintf(buf, sizeof buf, "%.*g", prec, x);
-        if (std::strtod(buf, nullptr) == x)
-            break;
-    }
-    return buf;
-}
-
-} // namespace
 
 ErrorModel::ErrorModel(const Topology &topo,
                        const ErrorModelConfig &cfg)
@@ -121,13 +102,13 @@ ErrorModel::metadata() const
 {
     std::vector<std::pair<std::string, std::string>> kv;
     kv.emplace_back("error_corrupt_rate",
-                    formatDouble(cfg_.corruptRate));
-    kv.emplace_back("error_erase_rate", formatDouble(cfg_.eraseRate));
+                    jsonNumber(cfg_.corruptRate));
+    kv.emplace_back("error_erase_rate", jsonNumber(cfg_.eraseRate));
     kv.emplace_back("error_burst_start",
-                    formatDouble(cfg_.burstStart));
-    kv.emplace_back("error_burst_stop", formatDouble(cfg_.burstStop));
+                    jsonNumber(cfg_.burstStart));
+    kv.emplace_back("error_burst_stop", jsonNumber(cfg_.burstStop));
     kv.emplace_back("error_burst_factor",
-                    formatDouble(cfg_.burstFactor));
+                    jsonNumber(cfg_.burstFactor));
     kv.emplace_back("error_seed", std::to_string(cfg_.seed));
     return kv;
 }

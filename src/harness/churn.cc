@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <sstream>
 
+#include "common/json.h"
 #include "routing/switchable.h"
 #include "traffic/injection.h"
 #include "traffic/traffic_pattern.h"
@@ -36,21 +34,6 @@ shapedLoad(const ChurnRunConfig &cfg, Cycle t)
         load += (cfg.peakLoad - cfg.baseLoad) * frac;
     }
     return load;
-}
-
-/** Shortest round-trip decimal form of @p x; NaN/inf as "null". */
-std::string
-jsonDouble(double x)
-{
-    if (!std::isfinite(x))
-        return "null";
-    char buf[40];
-    for (int prec = 15; prec <= 17; ++prec) {
-        std::snprintf(buf, sizeof buf, "%.*g", prec, x);
-        if (std::strtod(buf, nullptr) == x)
-            break;
-    }
-    return buf;
 }
 
 } // namespace
@@ -261,10 +244,10 @@ churnExtraJson(const ChurnConfig &cc, const ChurnStats &cs)
 {
     std::ostringstream os;
     os << "\"churn\": {";
-    os << "\"link_mtbf\": " << jsonDouble(cc.linkMtbf)
-       << ", \"link_mttr\": " << jsonDouble(cc.linkMttr)
-       << ", \"router_mtbf\": " << jsonDouble(cc.routerMtbf)
-       << ", \"router_mttr\": " << jsonDouble(cc.routerMttr)
+    os << "\"link_mtbf\": " << jsonNumber(cc.linkMtbf)
+       << ", \"link_mttr\": " << jsonNumber(cc.linkMttr)
+       << ", \"router_mtbf\": " << jsonNumber(cc.routerMtbf)
+       << ", \"router_mttr\": " << jsonNumber(cc.routerMttr)
        << ", \"horizon\": " << cc.horizon
        << ", \"down_events\": " << cs.downEvents
        << ", \"repair_events\": " << cs.repairEvents
@@ -277,16 +260,16 @@ churnExtraJson(const ChurnConfig &cc, const ChurnStats &cs)
        << ", \"pinned_min_ad\": " << cs.pinnedMinAd
        << ", \"pinned_ugal\": " << cs.pinnedUgal
        << ", \"pinned_val\": " << cs.pinnedVal
-       << ", \"p999_latency\": " << jsonDouble(cs.p999Latency);
+       << ", \"p999_latency\": " << jsonNumber(cs.p999Latency);
     os << ", \"recovery\": {\"events\": " << cs.recoveryEvents
        << ", \"recovered\": " << cs.recoveredEvents
-       << ", \"mean_cycles\": " << jsonDouble(cs.meanRecoveryCycles)
-       << ", \"max_cycles\": " << jsonDouble(cs.maxRecoveryCycles)
+       << ", \"mean_cycles\": " << jsonNumber(cs.meanRecoveryCycles)
+       << ", \"max_cycles\": " << jsonNumber(cs.maxRecoveryCycles)
        << ", \"samples\": [";
     for (std::size_t i = 0; i < cs.recoveryCycles.size(); ++i) {
         if (i > 0)
             os << ", ";
-        os << jsonDouble(cs.recoveryCycles[i]);
+        os << jsonNumber(cs.recoveryCycles[i]);
     }
     os << "]}}";
     return os.str();

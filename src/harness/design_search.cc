@@ -8,6 +8,7 @@
 #include <memory>
 #include <sstream>
 
+#include "common/json.h"
 #include "common/log.h"
 #include "cost/topology_cost.h"
 #include "harness/factory.h"

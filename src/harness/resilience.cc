@@ -1,9 +1,9 @@
 #include "harness/resilience.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 
+#include "common/json.h"
 #include "common/log.h"
 #include "routing/routing.h"
 #include "topology/topology.h"
@@ -11,24 +11,6 @@
 
 namespace fbfly
 {
-
-namespace
-{
-
-/** Shortest decimal form that round-trips (metadata values). */
-std::string
-formatDouble(double x)
-{
-    char buf[40];
-    for (int prec = 15; prec <= 17; ++prec) {
-        std::snprintf(buf, sizeof buf, "%.*g", prec, x);
-        if (std::strtod(buf, nullptr) == x)
-            break;
-    }
-    return buf;
-}
-
-} // namespace
 
 std::vector<ResiliencePoint>
 runResilienceSweep(const Topology &topo,
@@ -124,16 +106,16 @@ resilienceMetadata(const ResilienceConfig &cfg)
     for (const double r : cfg.errorRates) {
         if (!rates.empty())
             rates += ',';
-        rates += formatDouble(r);
+        rates += jsonNumber(r);
     }
     kv.emplace_back("error_rates", rates);
-    kv.emplace_back("erase_share", formatDouble(cfg.eraseShare));
+    kv.emplace_back("erase_share", jsonNumber(cfg.eraseShare));
     kv.emplace_back("error_burst_start",
-                    formatDouble(cfg.errorBase.burstStart));
+                    jsonNumber(cfg.errorBase.burstStart));
     kv.emplace_back("error_burst_stop",
-                    formatDouble(cfg.errorBase.burstStop));
+                    jsonNumber(cfg.errorBase.burstStop));
     kv.emplace_back("error_burst_factor",
-                    formatDouble(cfg.errorBase.burstFactor));
+                    jsonNumber(cfg.errorBase.burstFactor));
     kv.emplace_back("error_seed",
                     std::to_string(cfg.errorBase.seed));
     kv.emplace_back("retry_window_flits",
@@ -142,7 +124,7 @@ resilienceMetadata(const ResilienceConfig &cfg)
                     std::to_string(cfg.retry.retryTimeout));
     kv.emplace_back("retry_max_timeout",
                     std::to_string(cfg.retry.maxTimeout));
-    kv.emplace_back("fixed_load", formatDouble(cfg.load));
+    kv.emplace_back("fixed_load", jsonNumber(cfg.load));
     return kv;
 }
 

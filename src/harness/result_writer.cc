@@ -1,11 +1,9 @@
 #include "harness/result_writer.h"
 
-#include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
+#include "common/json.h"
 #include "common/log.h"
 
 namespace fbfly
@@ -21,75 +19,8 @@ gitDescribe()
 #endif
 }
 
-void
-jsonAppendString(std::ostream &os, const std::string &s)
-{
-    os << '"';
-    for (const char c : s) {
-        switch (c) {
-        case '"':
-            os << "\\\"";
-            break;
-        case '\\':
-            os << "\\\\";
-            break;
-        case '\n':
-            os << "\\n";
-            break;
-        case '\r':
-            os << "\\r";
-            break;
-        case '\t':
-            os << "\\t";
-            break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(c)));
-                os << buf;
-            } else {
-                os << c;
-            }
-        }
-    }
-    os << '"';
-}
-
-void
-jsonAppendNumber(std::ostream &os, double x)
-{
-    if (!std::isfinite(x)) {
-        os << "null";
-        return;
-    }
-    // Shortest representation that round-trips: try increasing
-    // precision so 0.3 prints as "0.3", not "0.29999999999999999".
-    char buf[40];
-    for (int prec = 15; prec <= 17; ++prec) {
-        std::snprintf(buf, sizeof buf, "%.*g", prec, x);
-        if (std::strtod(buf, nullptr) == x)
-            break;
-    }
-    os << buf;
-}
-
 namespace
 {
-
-/** Local shorthands for the shared emission primitives. */
-void
-jsonString(std::ostringstream &os, const std::string &s)
-{
-    jsonAppendString(os, s);
-}
-
-void
-jsonNumber(std::ostringstream &os, double x)
-{
-    jsonAppendNumber(os, x);
-}
 
 const char *
 kindName(SweepPointKind k)
@@ -110,36 +41,36 @@ writePoint(std::ostringstream &os, const SweepPointRecord &rec)
 {
     os << "    {\"index\": " << rec.index << ", \"kind\": \""
        << kindName(rec.kind) << "\", \"series\": ";
-    jsonString(os, rec.series);
+    jsonAppendString(os, rec.series);
     os << ", \"topology\": ";
-    jsonString(os, rec.topology);
+    jsonAppendString(os, rec.topology);
     os << ", \"routing\": ";
-    jsonString(os, rec.routing);
+    jsonAppendString(os, rec.routing);
     os << ", \"traffic\": ";
-    jsonString(os, rec.traffic);
+    jsonAppendString(os, rec.traffic);
     os << ", \"seed\": " << rec.seed << ", \"wall_seconds\": ";
-    jsonNumber(os, rec.wallSeconds);
+    jsonAppendNumber(os, rec.wallSeconds);
     if (rec.kind == SweepPointKind::kBatch) {
         os << ", \"batch_size\": " << rec.batch.batchSize
            << ", \"completion_cycles\": " << rec.batch.completionTime
            << ", \"normalized_latency\": ";
-        jsonNumber(os, rec.batch.normalizedLatency);
+        jsonAppendNumber(os, rec.batch.normalizedLatency);
         os << "}";
         return;
     }
     const LoadPointResult &r = rec.load;
     os << ", \"offered\": ";
-    jsonNumber(os, r.offered);
+    jsonAppendNumber(os, r.offered);
     os << ", \"accepted\": ";
-    jsonNumber(os, r.accepted);
+    jsonAppendNumber(os, r.accepted);
     os << ", \"avg_latency\": ";
-    jsonNumber(os, r.avgLatency);
+    jsonAppendNumber(os, r.avgLatency);
     os << ", \"avg_network_latency\": ";
-    jsonNumber(os, r.avgNetworkLatency);
+    jsonAppendNumber(os, r.avgNetworkLatency);
     os << ", \"avg_hops\": ";
-    jsonNumber(os, r.avgHops);
+    jsonAppendNumber(os, r.avgHops);
     os << ", \"p99_latency\": ";
-    jsonNumber(os, r.p99Latency);
+    jsonAppendNumber(os, r.p99Latency);
     os << ", \"status\": \"" << toString(r.status) << "\""
        << ", \"valid\": " << (r.valid() ? "true" : "false")
        << ", \"saturated\": " << (r.saturated ? "true" : "false")
@@ -158,7 +89,7 @@ writePoint(std::ostringstream &os, const SweepPointRecord &rec)
        << ", \"link_acks\": " << r.link.acksSent
        << ", \"link_timeouts\": " << r.link.timeouts
        << ", \"retransmit_rate\": ";
-    jsonNumber(os, r.retransmitRate);
+    jsonAppendNumber(os, r.retransmitRate);
     if (r.deliveryChecked) {
         const OracleReport &d = r.delivery;
         os << ", \"delivery\": {\"tracked\": " << d.tracked
@@ -209,43 +140,43 @@ sweepResultsToJson(const SweepRunMeta &meta,
     std::ostringstream os;
     os << "{\n  \"schema\": \"" << kSweepJsonSchema << "\",\n";
     os << "  \"bench\": ";
-    jsonString(os, meta.bench);
+    jsonAppendString(os, meta.bench);
     os << ",\n  \"git\": ";
-    jsonString(os, gitDescribe());
+    jsonAppendString(os, gitDescribe());
     os << ",\n  \"seed\": " << master_seed;
     os << ",\n  \"threads\": " << threads;
     os << ",\n  \"wall_seconds_total\": ";
-    jsonNumber(os, total_wall_seconds);
+    jsonAppendNumber(os, total_wall_seconds);
     os << ",\n  \"wall_seconds_points_sum\": ";
-    jsonNumber(os, serial);
+    jsonAppendNumber(os, serial);
     os << ",\n  \"parallel_speedup\": ";
-    jsonNumber(os, speedup);
+    jsonAppendNumber(os, speedup);
     os << ",\n  \"trace_file\": ";
     if (meta.traceFile.empty())
         os << "null";
     else
-        jsonString(os, meta.traceFile);
+        jsonAppendString(os, meta.traceFile);
     os << ",\n  \"metadata\": {";
     bool first = true;
     if (!meta.description.empty()) {
         os << "\"description\": ";
-        jsonString(os, meta.description);
+        jsonAppendString(os, meta.description);
         first = false;
     }
     for (const auto &[key, value] : meta.extra) {
         if (!first)
             os << ", ";
-        jsonString(os, key);
+        jsonAppendString(os, key);
         os << ": ";
-        jsonString(os, value);
+        jsonAppendString(os, value);
         first = false;
     }
     for (const auto &[key, value] : meta.extraNumbers) {
         if (!first)
             os << ", ";
-        jsonString(os, key);
+        jsonAppendString(os, key);
         os << ": ";
-        jsonNumber(os, value);
+        jsonAppendNumber(os, value);
         first = false;
     }
     os << "},\n  \"points\": [\n";

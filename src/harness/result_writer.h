@@ -34,21 +34,6 @@ inline constexpr const char *kSweepJsonSchema = "fbfly-sweep-v1";
  *  git checkout). */
 const char *gitDescribe();
 
-/** @name JSON emission primitives
- *  Shared by every fbfly-*-v1 document writer (this one and the
- *  design-search Pareto writer, harness/design_search.h) so all
- *  documents share one escaping and number-formatting policy.
- *  @{ */
-
-/** Append a JSON string literal (with escaping) to @p os. */
-void jsonAppendString(std::ostream &os, const std::string &s);
-
-/** Append a double in its shortest round-trip form; NaN/inf emit
- *  JSON null, never a bare token a parser would reject. */
-void jsonAppendNumber(std::ostream &os, double x);
-
-/** @} */
-
 /**
  * Run-level metadata for a sweep JSON document.
  */

@@ -1,72 +1,12 @@
 #include "obs/metrics.h"
 
 #include <cmath>
-#include <cstdio>
-#include <cstring>
 #include <limits>
+
+#include "common/json.h"
 
 namespace fbfly
 {
-
-namespace
-{
-
-/** JSON string literal with escaping (metric names are plain ASCII
- *  in practice, but stay correct for anything). */
-void
-jsonString(std::ostream &os, const std::string &s)
-{
-    os << '"';
-    for (const char c : s) {
-        switch (c) {
-        case '"':
-            os << "\\\"";
-            break;
-        case '\\':
-            os << "\\\\";
-            break;
-        case '\n':
-            os << "\\n";
-            break;
-        case '\r':
-            os << "\\r";
-            break;
-        case '\t':
-            os << "\\t";
-            break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(c)));
-                os << buf;
-            } else {
-                os << c;
-            }
-        }
-    }
-    os << '"';
-}
-
-/** Shortest round-trip double; NaN/inf as null (fbfly-sweep-v1). */
-void
-jsonNumber(std::ostream &os, double x)
-{
-    if (!std::isfinite(x)) {
-        os << "null";
-        return;
-    }
-    char buf[40];
-    for (int prec = 15; prec <= 17; ++prec) {
-        std::snprintf(buf, sizeof buf, "%.*g", prec, x);
-        if (std::strtod(buf, nullptr) == x)
-            break;
-    }
-    os << buf;
-}
-
-} // namespace
 
 void
 MetricsRegistry::setCounter(const std::string &name,
@@ -180,22 +120,22 @@ MetricsRegistry::writeJson(std::ostream &os) const
     for (std::size_t i = 0; i < counters_.size(); ++i) {
         if (i > 0)
             os << ", ";
-        jsonString(os, counters_[i].first);
+        jsonAppendString(os, counters_[i].first);
         os << ": " << counters_[i].second;
     }
     os << "}, \"gauges\": {";
     for (std::size_t i = 0; i < gauges_.size(); ++i) {
         if (i > 0)
             os << ", ";
-        jsonString(os, gauges_[i].first);
+        jsonAppendString(os, gauges_[i].first);
         os << ": ";
-        jsonNumber(os, gauges_[i].second);
+        jsonAppendNumber(os, gauges_[i].second);
     }
     os << "}, \"series\": {";
     for (std::size_t i = 0; i < series_.size(); ++i) {
         if (i > 0)
             os << ", ";
-        jsonString(os, series_[i].first);
+        jsonAppendString(os, series_[i].first);
         const Series &s = series_[i].second;
         os << ": {\"window_cycles\": " << s.windowCycles
            << ", \"start_cycle\": " << s.startCycle
@@ -203,7 +143,7 @@ MetricsRegistry::writeJson(std::ostream &os) const
         for (std::size_t j = 0; j < s.values.size(); ++j) {
             if (j > 0)
                 os << ", ";
-            jsonNumber(os, s.values[j]);
+            jsonAppendNumber(os, s.values[j]);
         }
         os << "]}";
     }

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <sstream>
 
+#include "common/json.h"
 #include "common/log.h"
 
 namespace fbfly
@@ -185,18 +186,11 @@ TraceSink::toText() const
         os << line;
     }
     for (const CounterSample &c : counterSamples_) {
-        // Round-trip-exact double formatting (like the JSON writer):
-        // the shortest %g form that parses back to the same bits.
-        char num[40];
-        for (int prec = 15; prec <= 17; ++prec) {
-            std::snprintf(num, sizeof num, "%.*g", prec, c.value);
-            if (std::strtod(num, nullptr) == c.value)
-                break;
-        }
+        // Round-trip-exact value, formatted like the JSON writers.
         std::snprintf(line, sizeof line,
                       "%" PRIu64 " %d counter %s\n",
                       static_cast<std::uint64_t>(c.cycle), c.track,
-                      num);
+                      jsonNumber(c.value).c_str());
         os << line;
     }
     return os.str();

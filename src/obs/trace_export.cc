@@ -1,12 +1,11 @@
 #include "obs/trace_export.h"
 
 #include <cinttypes>
-#include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 
+#include "common/json.h"
 #include "common/log.h"
 
 namespace fbfly
@@ -14,58 +13,6 @@ namespace fbfly
 
 namespace
 {
-
-void
-jsonString(std::ostringstream &os, const std::string &s)
-{
-    os << '"';
-    for (const char c : s) {
-        switch (c) {
-        case '"':
-            os << "\\\"";
-            break;
-        case '\\':
-            os << "\\\\";
-            break;
-        case '\n':
-            os << "\\n";
-            break;
-        case '\r':
-            os << "\\r";
-            break;
-        case '\t':
-            os << "\\t";
-            break;
-        default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof buf, "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(c)));
-                os << buf;
-            } else {
-                os << c;
-            }
-        }
-    }
-    os << '"';
-}
-
-void
-jsonNumber(std::ostringstream &os, double x)
-{
-    if (!std::isfinite(x)) {
-        os << "null";
-        return;
-    }
-    char buf[40];
-    for (int prec = 15; prec <= 17; ++prec) {
-        std::snprintf(buf, sizeof buf, "%.*g", prec, x);
-        if (std::strtod(buf, nullptr) == x)
-            break;
-    }
-    os << buf;
-}
 
 /** Emit a metadata event naming a process or thread. */
 void
@@ -79,7 +26,7 @@ writeMeta(std::ostringstream &os, bool &first, const char *what,
     if (tid >= 0)
         os << ", \"tid\": " << tid;
     os << ", \"name\": \"" << what << "\", \"args\": {\"name\": ";
-    jsonString(os, name);
+    jsonAppendString(os, name);
     os << "}}";
 }
 
@@ -143,9 +90,9 @@ tracesToChromeJson(const std::vector<TracePoint> &points)
                     ? sink.tracks()[static_cast<std::size_t>(c.track)]
                           .name
                     : std::string("counter");
-            jsonString(os, track_name + " util");
+            jsonAppendString(os, track_name + " util");
             os << ", \"args\": {\"value\": ";
-            jsonNumber(os, c.value);
+            jsonAppendNumber(os, c.value);
             os << "}}";
         }
     }

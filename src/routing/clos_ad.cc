@@ -1,7 +1,5 @@
 #include "routing/clos_ad.h"
 
-#include <climits>
-
 #include "network/flit.h"
 #include "network/router.h"
 
@@ -33,35 +31,27 @@ ClosAd::route(Router &router, Flit &flit)
         // intermediate happens in the ascent below.
         const int diff = topo_.minimalHops(cur, dst);
         const int h = topo_.highestDiffDim(cur, dst);
-        int q_min = 0;
-        (void)bestProductive(router, dst, q_min);
-        // Estimated delay = (queue + the hop itself) x hops, as in
-        // UGAL: counting the hop keeps empty-queue comparisons
-        // honest at low load.
-        const long cost_min = static_cast<long>(q_min + 1) * diff;
+        const int q_min = bestProductive(router, dst).queue();
 
-        long cost_nonmin = LONG_MAX;
-        {
-            const int d = 1 + static_cast<int>(
-                router.rng().nextBounded(h));
-            const int mine = topo_.routerDigit(cur, d);
-            const int want = topo_.routerDigit(dst, d);
-            int m = static_cast<int>(router.rng().nextBounded(k - 1));
-            if (m >= mine)
-                ++m;
-            if (m != want || mine == want) {
-                const PortId p = topo_.portToward(cur, d, m);
-                // Misrouting in a differing dimension adds one hop;
-                // in an already-correct dimension it adds two.
-                const int hops =
-                    diff + (m == want ? 0 : (mine != want ? 1 : 2));
-                cost_nonmin =
-                    static_cast<long>(router.estimatedQueue(p) + 1) *
-                    hops;
-            }
+        bool minimal = true;
+        const int d = 1 + static_cast<int>(router.rng().nextBounded(h));
+        const int mine = topo_.routerDigit(cur, d);
+        const int want = topo_.routerDigit(dst, d);
+        int m = static_cast<int>(router.rng().nextBounded(k - 1));
+        if (m >= mine)
+            ++m;
+        if (m != want || mine == want) {
+            // Misrouting in a differing dimension adds one hop; in an
+            // already-correct dimension it adds two.
+            const int hops =
+                diff + (m == want ? 0 : (mine != want ? 1 : 2));
+            minimal = ugalPrefersMinimal(
+                q_min, diff,
+                firstHopQueue(router, topo_.portToward(cur, d, m)),
+                hops);
         }
 
-        if (cost_min <= cost_nonmin) {
+        if (minimal) {
             flit.routeMode = kModeMinimal;
         } else {
             flit.routeMode = kModeNonminimal;
@@ -86,31 +76,18 @@ ClosAd::route(Router &router, Flit &flit)
             const int stay_cost =
                 mine == want
                     ? 0
-                    : router.estimatedQueue(
-                          topo_.portToward(cur, d, want));
+                    : firstHopQueue(router,
+                                    topo_.portToward(cur, d, want));
 
-            int best_q = INT_MAX;
-            int best_m = -1;
-            int ties = 0;
+            ShortestQueue best(router);
             for (int m = 0; m < k; ++m) {
-                if (m == mine)
-                    continue;
-                const int q = router.estimatedQueue(
-                    topo_.portToward(cur, d, m));
-                if (q < best_q) {
-                    best_q = q;
-                    best_m = m;
-                    ties = 1;
-                } else if (q == best_q) {
-                    ++ties;
-                    if (router.rng().nextBounded(ties) == 0)
-                        best_m = m;
-                }
+                if (m != mine)
+                    best.offer(topo_.portToward(cur, d, m));
             }
 
             flit.ascendDim = static_cast<std::int8_t>(d + 1);
-            if (best_m >= 0 && best_q < stay_cost)
-                return {topo_.portToward(cur, d, best_m), d - 1};
+            if (best.port() != kInvalid && best.queue() < stay_cost)
+                return {best.port(), d - 1};
             // else: stay at this coordinate; consider the next
             // dimension without taking a hop.
         }

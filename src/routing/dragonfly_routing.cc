@@ -1,25 +1,11 @@
 #include "routing/dragonfly_routing.h"
 
-#include <algorithm>
-
 #include "common/log.h"
 #include "network/flit.h"
 #include "network/router.h"
 
 namespace fbfly
 {
-
-RouterId
-DragonflyRouting::dstRouter(const Flit &flit) const
-{
-    return topo_.injectionRouter(flit.dst);
-}
-
-RouteDecision
-DragonflyRouting::eject(const Flit &flit) const
-{
-    return {topo_.ejectionPort(flit.dst), 0};
-}
 
 PortId
 DragonflyRouting::minimalPort(RouterId cur, RouterId target) const
@@ -35,35 +21,6 @@ DragonflyRouting::minimalPort(RouterId cur, RouterId target) const
     return topo_.localPort(cur, topo_.localOf(gw));
 }
 
-VcId
-DragonflyRouting::dateVc(const Flit &flit) const
-{
-    return std::min(flit.hops, numVcs() - 1);
-}
-
-RouteDecision
-DragonflyRouting::escapeHop(Router &router, Flit &flit) const
-{
-    // Every productive channel has failed: budgeted random escape on
-    // any alive inter-router port, VC date clamped to the top VC
-    // (monotonicity no longer holds; the watchdog backs faulty runs).
-    if (flit.misroutes >= 4 * 3 + 8)
-        return RouteDecision::dropped();
-    PortId pick = kInvalid;
-    int count = 0;
-    for (PortId p = topo_.p(); p < topo_.radix(); ++p) {
-        if (!router.outputAlive(p))
-            continue;
-        ++count;
-        if (router.rng().nextBounded(count) == 0)
-            pick = p;
-    }
-    if (pick == kInvalid)
-        return RouteDecision::dropped(); // no alive channel at all
-    ++flit.misroutes;
-    return {pick, dateVc(flit)};
-}
-
 RouteDecision
 DragonflyMinimal::route(Router &router, Flit &flit)
 {
@@ -71,10 +28,7 @@ DragonflyMinimal::route(Router &router, Flit &flit)
     const RouterId dst = dstRouter(flit);
     if (cur == dst)
         return eject(flit);
-    const PortId p = minimalPort(cur, dst);
-    if (router.outputAlive(p))
-        return {p, dateVc(flit)};
-    return escapeHop(router, flit);
+    return hopOrEscape(router, flit, minimalPort(cur, dst));
 }
 
 RouteDecision
@@ -94,13 +48,9 @@ DragonflyUgal::route(Router &router, Flit &flit)
         if (gs == gd) {
             flit.routeMode = kModeMinimal;
         } else {
-            constexpr int kDeadQueue = 1 << 20;
-
             const int h_min = topo_.minimalHops(cur, dst);
-            const PortId pm = minimalPort(cur, dst);
-            const int q_min = router.outputAlive(pm)
-                                  ? router.estimatedQueue(pm)
-                                  : kDeadQueue;
+            const int q_min =
+                firstHopQueue(router, minimalPort(cur, dst));
 
             // A random intermediate group != the source group; a
             // draw of the destination group degenerates to minimal.
@@ -116,14 +66,10 @@ DragonflyUgal::route(Router &router, Flit &flit)
                 const RouterId gw = topo_.globalRouter(gs, gi);
                 h_val = (cur == gw ? 1 : 2) +
                         topo_.minimalHops(entry, dst);
-                const PortId pv = minimalPort(cur, entry);
-                q_val = router.outputAlive(pv)
-                            ? router.estimatedQueue(pv)
-                            : kDeadQueue;
+                q_val = firstHopQueue(router, minimalPort(cur, entry));
             }
 
-            if (static_cast<long>(q_min + 1) * h_min <=
-                static_cast<long>(q_val + 1) * h_val) {
+            if (ugalPrefersMinimal(q_min, h_min, q_val, h_val)) {
                 flit.routeMode = kModeMinimal;
             } else {
                 flit.routeMode = kModeNonminimal;
@@ -145,10 +91,7 @@ DragonflyUgal::route(Router &router, Flit &flit)
                                         topo_.groupOf(cur));
         }
     }
-    const PortId p = minimalPort(cur, target);
-    if (router.outputAlive(p))
-        return {p, dateVc(flit)};
-    return escapeHop(router, flit);
+    return hopOrEscape(router, flit, minimalPort(cur, target));
 }
 
 } // namespace fbfly

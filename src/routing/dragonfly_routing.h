@@ -14,41 +14,31 @@
  * 2 + 3 = 5 hops, 5 VCs), comparing estimated delay = (queue + 1) x
  * hops like the flattened-butterfly UGAL (routing/ugal.cc).
  *
- * Fault handling follows GhcAdaptive: dead productive channels are
- * escaped via a random alive inter-router port under a misroute
- * budget, with the VC date clamped to the top VC — monotonicity no
- * longer holds on the escape path, so faulty runs rely on the
- * watchdog (docs/FAULTS.md).
+ * A dead productive channel is escaped as in every VC-dated family
+ * (routing/dated_routing.h).
  */
 
 #ifndef FBFLY_ROUTING_DRAGONFLY_ROUTING_H
 #define FBFLY_ROUTING_DRAGONFLY_ROUTING_H
 
-#include "routing/routing.h"
+#include "routing/dated_routing.h"
 #include "topology/dragonfly.h"
 
 namespace fbfly
 {
 
 /** Shared machinery of the dragonfly algorithms. */
-class DragonflyRouting : public RoutingAlgorithm
+class DragonflyRouting : public DatedRouting<Dragonfly>
 {
   protected:
-    explicit DragonflyRouting(const Dragonfly &topo) : topo_(topo) {}
+    explicit DragonflyRouting(const Dragonfly &topo)
+        : DatedRouting(topo, 3)
+    {
+    }
 
-    RouterId dstRouter(const Flit &flit) const;
-    /** Eject at the destination router (terminal port, VC 0). */
-    RouteDecision eject(const Flit &flit) const;
     /** The unique minimal port from @p cur toward router @p target
      *  (which must differ from @p cur). */
     PortId minimalPort(RouterId cur, RouterId target) const;
-    /** VC date: inter-router hops taken so far, clamped to the VC
-     *  range (the clamp only engages on fault escapes). */
-    VcId dateVc(const Flit &flit) const;
-    /** Random alive inter-router port under the misroute budget. */
-    RouteDecision escapeHop(Router &router, Flit &flit) const;
-
-    const Dragonfly &topo_;
 };
 
 /**

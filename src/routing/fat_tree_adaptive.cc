@@ -3,6 +3,7 @@
 #include "common/log.h"
 #include "network/flit.h"
 #include "network/router.h"
+#include "routing/port_choice.h"
 
 namespace fbfly
 {
@@ -11,27 +12,15 @@ FatTreeAdaptive::FatTreeAdaptive(const FatTree &topo) : topo_(topo)
 {
 }
 
-PortId
-FatTreeAdaptive::bestPort(Router &router, PortId base,
-                          int count) const
+RouteDecision
+FatTreeAdaptive::bestPort(Router &router, PortId base, int count) const
 {
-    PortId best = kInvalid;
-    int best_q = 0;
-    int ties = 0;
-    for (int i = 0; i < count; ++i) {
-        const PortId p = base + i;
-        const int q = router.estimatedQueue(p);
-        if (best == kInvalid || q < best_q) {
-            best = p;
-            best_q = q;
-            ties = 1;
-        } else if (q == best_q) {
-            ++ties;
-            if (router.rng().nextBounded(ties) == 0)
-                best = p;
-        }
-    }
-    return best;
+    ShortestQueue best(router);
+    for (int i = 0; i < count; ++i)
+        best.offer(base + i);
+    if (best.port() == kInvalid)
+        return RouteDecision::dropped(); // every candidate failed
+    return {best.port(), 0};
 }
 
 RouteDecision
@@ -49,9 +38,7 @@ FatTreeAdaptive::route(Router &router, Flit &flit)
         // Ascend: any pod middle reaches the whole pod; if the
         // destination is outside the pod, any middle also reaches
         // the tops.  Pick the least-occupied uplink.
-        return {bestPort(router, topo_.leafUplinkPort(0),
-                         topo_.u1()),
-                0};
+        return bestPort(router, topo_.leafUplinkPort(0), topo_.u1());
 
       case FatTree::Level::Middle:
         if (topo_.podOfMiddle(r) == dst_pod) {
@@ -59,17 +46,13 @@ FatTreeAdaptive::route(Router &router, Flit &flit)
             return {topo_.middleDownPort(dst_leaf_in_pod), 0};
         }
         // Ascend to a top router, least-occupied uplink.
-        return {bestPort(router, topo_.middleUplinkPort(0),
-                         topo_.u2()),
-                0};
+        return bestPort(router, topo_.middleUplinkPort(0), topo_.u2());
 
       case FatTree::Level::Top:
         // Descend: any middle of the destination pod works; pick the
         // least-occupied down channel into that pod.
-        return {bestPort(router,
-                         topo_.topDownPort(dst_pod, 0),
-                         topo_.u1()),
-                0};
+        return bestPort(router, topo_.topDownPort(dst_pod, 0),
+                        topo_.u1());
     }
     FBFLY_PANIC("unreachable fat-tree level");
 }

@@ -38,8 +38,10 @@ class FatTreeAdaptive final : public RoutingAlgorithm
     RouteDecision route(Router &router, Flit &flit) override;
 
   private:
-    /** Least-occupied port in [base, base+count), random ties. */
-    PortId bestPort(Router &router, PortId base, int count) const;
+    /** Hop on the least-occupied alive port in [base, base+count),
+     *  random ties (VC 0); a drop when every one has failed. */
+    RouteDecision bestPort(Router &router, PortId base,
+                           int count) const;
 
     const FatTree &topo_;
 };

@@ -44,32 +44,47 @@ FbflyRouting::dorPort(RouterId cur, RouterId tgt) const
     return topo_.portToward(cur, d, topo_.routerDigit(tgt, d));
 }
 
-PortId
-FbflyRouting::bestProductive(Router &router, RouterId dst_router,
-                             int &best_queue) const
+template <typename VcOf>
+RouteDecision
+FbflyRouting::escapeHop(Router &router, Flit &flit, RouterId tgt,
+                        VcOf &&vc_of) const
 {
     const RouterId cur = router.id();
-    PortId best = kInvalid;
-    best_queue = 0;
-    int ties = 0;
+    RouterId nbr = kInvalid;
+    const auto offer = [&](RandomAlive &pick) {
+        // Pass 1: detour within a dimension the packet still has to
+        // correct (keeps the minimal hop count).  Pass 2: step
+        // sideways in an already-correct dimension (one extra hop).
+        for (const bool differing : {true, false}) {
+            for (int d = 1; d <= topo_.numDims(); ++d) {
+                const int own = topo_.routerDigit(cur, d);
+                const int want = topo_.routerDigit(tgt, d);
+                if ((own != want) != differing)
+                    continue;
+                for (int v = 0; v < topo_.k(); ++v) {
+                    if (v == own || (differing && v == want))
+                        continue; // self / the (dead) productive port
+                    if (pick.offer(topo_.portToward(cur, d, v)))
+                        nbr = topo_.neighbor(cur, d, v);
+                }
+            }
+            if (pick.port() != kInvalid)
+                break;
+        }
+    };
+    return escapeRoute(router, flit, topo_.numDims(), offer,
+                       [&] { return vc_of(nbr); });
+}
+
+ShortestQueue
+FbflyRouting::bestProductive(Router &router, RouterId dst_router) const
+{
+    const RouterId cur = router.id();
+    ShortestQueue best(router);
     for (int d = 1; d <= topo_.numDims(); ++d) {
         const int dst_dig = topo_.routerDigit(dst_router, d);
-        if (topo_.routerDigit(cur, d) == dst_dig)
-            continue;
-        const PortId p = topo_.portToward(cur, d, dst_dig);
-        if (!router.outputAlive(p))
-            continue; // failed channel: masked from the candidates
-        const int q = router.estimatedQueue(p);
-        if (best == kInvalid || q < best_queue) {
-            best = p;
-            best_queue = q;
-            ties = 1;
-        } else if (q == best_queue) {
-            // Reservoir-style uniform tie-break.
-            ++ties;
-            if (router.rng().nextBounded(ties) == 0)
-                best = p;
-        }
+        if (topo_.routerDigit(cur, d) != dst_dig)
+            best.offer(topo_.portToward(cur, d, dst_dig));
     }
     return best;
 }
@@ -83,57 +98,13 @@ FbflyRouting::minimalHop(Router &router, Flit &flit,
     if (cur == dst)
         return eject(flit);
     const int diff = topo_.minimalHops(cur, dst);
-    int q = 0;
-    const PortId p = bestProductive(router, dst, q);
-    if (p == kInvalid)
-        return escapeHop(router, flit, vc_offset);
-    return {p, vc_offset + diff - 1};
-}
-
-RouteDecision
-FbflyRouting::escapeHop(Router &router, Flit &flit,
-                        int vc_offset) const
-{
-    const RouterId cur = router.id();
-    const RouterId dst = dstRouter(flit);
-    const int np = topo_.numDims();
-
-    if (flit.misroutes >= misrouteBudget())
-        return RouteDecision::dropped();
-
-    // Pass 1: detour within a dimension the packet still has to
-    // correct (keeps the minimal hop count).  Pass 2: step sideways
-    // in an already-correct dimension (costs one extra hop).
-    PortId pick = kInvalid;
-    int count = 0;
-    for (const bool differing : {true, false}) {
-        for (int d = 1; d <= np; ++d) {
-            const int own = topo_.routerDigit(cur, d);
-            const int want = topo_.routerDigit(dst, d);
-            if ((own != want) != differing)
-                continue;
-            for (int v = 0; v < topo_.k(); ++v) {
-                if (v == own || (differing && v == want))
-                    continue; // self / the (dead) productive port
-                const PortId p = topo_.portToward(cur, d, v);
-                if (!router.outputAlive(p))
-                    continue;
-                ++count;
-                if (router.rng().nextBounded(count) == 0)
-                    pick = p;
-            }
-        }
-        if (pick != kInvalid)
-            break;
-    }
-    if (pick == kInvalid)
-        return RouteDecision::dropped(); // no alive channel at all
-
-    ++flit.misroutes;
-    const int diff = topo_.minimalHops(cur, dst);
+    const PortId p = bestProductive(router, dst).port();
+    if (p != kInvalid)
+        return {p, vc_offset + diff - 1};
     // Hops-remaining VC indexing, clamped into this phase's VC set;
     // a detour keeps diff constant, a sideways step raises it.
-    return {pick, vc_offset + std::min(diff, np) - 1};
+    const VcId vc = vc_offset + std::min(diff, topo_.numDims()) - 1;
+    return escapeHop(router, flit, dst, [vc](RouterId) { return vc; });
 }
 
 RouteDecision
@@ -170,37 +141,7 @@ FbflyRouting::dorHopAlive(Router &router, Flit &flit, RouterId tgt,
     }
 
     // Non-minimal escape (budgeted) around the failure.
-    if (flit.misroutes >= misrouteBudget())
-        return RouteDecision::dropped();
-    PortId pick = kInvalid;
-    RouterId pickNbr = kInvalid;
-    int count = 0;
-    for (const bool differing : {true, false}) {
-        for (int d = 1; d <= np; ++d) {
-            const int own = topo_.routerDigit(cur, d);
-            const int want = topo_.routerDigit(tgt, d);
-            if ((own != want) != differing)
-                continue;
-            for (int v = 0; v < topo_.k(); ++v) {
-                if (v == own || (differing && v == want))
-                    continue;
-                const PortId p = topo_.portToward(cur, d, v);
-                if (!router.outputAlive(p))
-                    continue;
-                ++count;
-                if (router.rng().nextBounded(count) == 0) {
-                    pick = p;
-                    pickNbr = topo_.neighbor(cur, d, v);
-                }
-            }
-        }
-        if (pick != kInvalid)
-            break;
-    }
-    if (pick == kInvalid)
-        return RouteDecision::dropped();
-    ++flit.misroutes;
-    return {pick, vcFor(pickNbr)};
+    return escapeHop(router, flit, tgt, vcFor);
 }
 
 } // namespace fbfly

@@ -23,6 +23,7 @@
 #ifndef FBFLY_ROUTING_FBFLY_BASE_H
 #define FBFLY_ROUTING_FBFLY_BASE_H
 
+#include "routing/port_choice.h"
 #include "routing/routing.h"
 #include "topology/flattened_butterfly.h"
 
@@ -57,51 +58,27 @@ class FbflyRouting : public RoutingAlgorithm
 
     /**
      * Productive port with the shortest estimated queue (paper:
-     * "the productive channel with the shortest queue"), breaking
-     * ties with the router's random stream.  Failed output ports are
-     * masked from the candidate set.
-     *
-     * @param[out] best_queue the winning port's queue estimate.
-     * @return the winning port, or kInvalid when every productive
-     *         channel has failed (callers fall back to escapeHop).
+     * "the productive channel with the shortest queue"), failed
+     * channels masked; kInvalid when every productive channel has
+     * failed (callers fall back to escapeHop).
      */
-    PortId bestProductive(Router &router, RouterId dst_router,
-                          int &best_queue) const;
+    ShortestQueue bestProductive(Router &router,
+                                 RouterId dst_router) const;
 
     /**
      * One minimal-adaptive hop (or ejection) with VCs drawn from
      * [vc_offset, vc_offset + n') by hops remaining.  When every
-     * productive channel has failed, falls back to a non-minimal
-     * escape (escapeHop); when no escape exists the packet is
-     * dropped as unreachable.
+     * productive channel has failed, falls back to escapeHop toward
+     * the destination, VC clamped into the same set.
      */
     RouteDecision minimalHop(Router &router, Flit &flit,
                              int vc_offset) const;
 
     /**
-     * Non-minimal escape around failed channels: a random alive hop
-     * that stays within a dimension the packet still has to correct
-     * (keeping the minimal hop count; the dimension's complete graph
-     * offers alternate two-hop paths around any dead link), else a
-     * random alive hop in an already-correct dimension.  Each escape
-     * spends one unit of the packet's misroute budget; an exhausted
-     * budget or a router with no alive inter-router port drops the
-     * packet (RouteDecision::drop).
-     *
-     * VC selection stays within [vc_offset, vc_offset + n'), clamped
-     * by hops remaining; strict VC monotonicity — and with it the
-     * analytic deadlock-freedom guarantee — no longer holds on the
-     * escape path, which is why the simulator kernel backs faulty
-     * runs with a forward-progress watchdog (docs/FAULTS.md).
-     */
-    RouteDecision escapeHop(Router &router, Flit &flit,
-                            int vc_offset) const;
-
-    /**
      * Fault-aware dimension-order hop toward @p tgt (the VAL / UGAL
      * non-minimal subroutes): the plain DOR hop when its channel is
      * alive, else a productive hop in another differing dimension,
-     * else a budgeted detour (same fallbacks as escapeHop).
+     * else escapeHop toward @p tgt.
      *
      * @param fixed_vc >= 0: use this VC for the hop (VAL's one VC
      *        per phase); < 0: index VCs by hops remaining within
@@ -111,10 +88,20 @@ class FbflyRouting : public RoutingAlgorithm
                               RouterId tgt, int vc_offset,
                               VcId fixed_vc) const;
 
-    /** Escape hops a packet may spend before being dropped. */
-    int misrouteBudget() const { return 4 * topo_.numDims() + 8; }
-
     const FlattenedButterfly &topo_;
+
+  private:
+    /**
+     * Budgeted escape toward @p tgt (escapeRoute): a random alive
+     * hop that stays within a dimension still to correct (keeping
+     * the minimal hop count; the dimension's complete graph offers
+     * alternate two-hop paths around any dead link), else a random
+     * alive hop in an already-correct dimension.  @p vc_of maps the
+     * picked neighbor router to the hop's VC.
+     */
+    template <typename VcOf>
+    RouteDecision escapeHop(Router &router, Flit &flit, RouterId tgt,
+                            VcOf &&vc_of) const;
 };
 
 } // namespace fbfly

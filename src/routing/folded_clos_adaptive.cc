@@ -2,6 +2,7 @@
 
 #include "network/flit.h"
 #include "network/router.h"
+#include "routing/port_choice.h"
 
 namespace fbfly
 {
@@ -26,24 +27,14 @@ FoldedClosAdaptive::route(Router &router, Flit &flit)
         return {topo_.ejectionPort(flit.dst), 0};
     }
 
-    // Ascend on the least-occupied uplink (sequential allocator).
-    PortId best = kInvalid;
-    int best_q = 0;
-    int ties = 0;
-    for (int i = 0; i < topo_.u(); ++i) {
-        const PortId p = topo_.uplinkPort(i);
-        const int q = router.estimatedQueue(p);
-        if (best == kInvalid || q < best_q) {
-            best = p;
-            best_q = q;
-            ties = 1;
-        } else if (q == best_q) {
-            ++ties;
-            if (router.rng().nextBounded(ties) == 0)
-                best = p;
-        }
-    }
-    return {best, 0};
+    // Ascend on the least-occupied alive uplink (sequential
+    // allocator); drop when every uplink has failed.
+    ShortestQueue best(router);
+    for (int i = 0; i < topo_.u(); ++i)
+        best.offer(topo_.uplinkPort(i));
+    if (best.port() == kInvalid)
+        return RouteDecision::dropped();
+    return {best.port(), 0};
 }
 
 } // namespace fbfly

@@ -5,6 +5,7 @@
 #include "common/log.h"
 #include "network/flit.h"
 #include "network/router.h"
+#include "routing/port_choice.h"
 
 namespace fbfly
 {
@@ -20,75 +21,51 @@ GhcAdaptive::route(Router &router, Flit &flit)
     const RouterId r = router.id();
     const RouterId dst = flit.dst; // one terminal per router
 
-    PortId best = kInvalid;
-    int best_q = 0;
+    ShortestQueue best(router);
     int remaining = 0;
-    int ties = 0;
     for (int d = 0; d < topo_.numDims(); ++d) {
         const int want = topo_.routerDigit(dst, d);
         if (topo_.routerDigit(r, d) == want)
             continue;
         ++remaining;
-        const PortId p = topo_.portToward(r, d, want);
-        if (!router.outputAlive(p))
-            continue; // failed channel: masked from the candidates
-        const int q = router.estimatedQueue(p);
-        if (best == kInvalid || q < best_q) {
-            best = p;
-            best_q = q;
-            ties = 1;
-        } else if (q == best_q) {
-            ++ties;
-            if (router.rng().nextBounded(ties) == 0)
-                best = p;
-        }
+        best.offer(topo_.portToward(r, d, want));
     }
     if (remaining == 0)
         return {0, 0}; // terminal port
-    if (best != kInvalid) {
+    if (best.port() != kInvalid) {
         // Hops-remaining VC indexing keeps the adaptive order
         // deadlock-free.
-        return {best, remaining - 1};
+        return {best.port(), remaining - 1};
     }
 
-    // Every productive channel has failed: budgeted non-minimal
-    // escape, as in FbflyRouting::escapeHop.  Pass 1 detours within
-    // a differing dimension (hop count preserved); pass 2 steps
-    // sideways in a correct dimension (one extra hop).  VCs stay
-    // clamped to the hops-remaining set; monotonicity no longer
-    // holds, so faulty runs rely on the watchdog (docs/FAULTS.md).
-    if (flit.misroutes >= 4 * topo_.numDims() + 8)
-        return RouteDecision::dropped();
-    PortId pick = kInvalid;
+    // Every productive channel has failed: budgeted escape, as in
+    // FbflyRouting::escapeHop.  Pass 1 detours within a differing
+    // dimension (hop count preserved); pass 2 steps sideways in a
+    // correct dimension (one extra hop).  VCs stay clamped to the
+    // hops-remaining set.
     bool pickDiffering = false;
-    int count = 0;
-    for (const bool differing : {true, false}) {
-        for (int d = 0; d < topo_.numDims(); ++d) {
-            const int own = topo_.routerDigit(r, d);
-            const int want = topo_.routerDigit(dst, d);
-            if ((own != want) != differing)
-                continue;
-            for (int v = 0; v < topo_.radixOf(d); ++v) {
-                if (v == own || (differing && v == want))
+    const auto offer = [&](RandomAlive &pick) {
+        for (const bool differing : {true, false}) {
+            for (int d = 0; d < topo_.numDims(); ++d) {
+                const int own = topo_.routerDigit(r, d);
+                const int want = topo_.routerDigit(dst, d);
+                if ((own != want) != differing)
                     continue;
-                const PortId p = topo_.portToward(r, d, v);
-                if (!router.outputAlive(p))
-                    continue;
-                ++count;
-                if (router.rng().nextBounded(count) == 0) {
-                    pick = p;
-                    pickDiffering = differing;
+                for (int v = 0; v < topo_.radixOf(d); ++v) {
+                    if (v == own || (differing && v == want))
+                        continue;
+                    if (pick.offer(topo_.portToward(r, d, v)))
+                        pickDiffering = differing;
                 }
             }
+            if (pick.port() != kInvalid)
+                break;
         }
-        if (pick != kInvalid)
-            break;
-    }
-    if (pick == kInvalid)
-        return RouteDecision::dropped(); // no alive channel at all
-    ++flit.misroutes;
-    const int after = pickDiffering ? remaining : remaining + 1;
-    return {pick, std::min(after, topo_.numDims()) - 1};
+    };
+    return escapeRoute(router, flit, topo_.numDims(), offer, [&] {
+        const int after = pickDiffering ? remaining : remaining + 1;
+        return std::min(after, topo_.numDims()) - 1;
+    });
 }
 
 } // namespace fbfly

@@ -1,7 +1,5 @@
 #include "routing/slim_fly_routing.h"
 
-#include <algorithm>
-
 #include "common/log.h"
 #include "network/flit.h"
 #include "network/router.h"
@@ -9,84 +7,23 @@
 namespace fbfly
 {
 
-RouterId
-SlimFlyRouting::dstRouter(const Flit &flit) const
-{
-    return topo_.injectionRouter(flit.dst);
-}
-
-RouteDecision
-SlimFlyRouting::eject(const Flit &flit) const
-{
-    return {topo_.ejectionPort(flit.dst), 0};
-}
-
-PortId
-SlimFlyRouting::bestMinimalPort(Router &router, RouterId target,
-                                int &queue_out) const
+ShortestQueue
+SlimFlyRouting::bestMinimal(Router &router, RouterId target) const
 {
     const RouterId cur = router.id();
-    FBFLY_ASSERT(cur != target, "bestMinimalPort at the target");
+    FBFLY_ASSERT(cur != target, "bestMinimal at the target");
+    ShortestQueue best(router);
     if (topo_.adjacent(cur, target)) {
-        const PortId p = topo_.portToward(cur, target);
-        if (!router.outputAlive(p))
-            return kInvalid;
-        queue_out = router.estimatedQueue(p);
-        return p;
+        best.offer(topo_.portToward(cur, target));
+        return best;
     }
-    // Distance 2: any alive neighbor adjacent to the target is a
-    // productive first hop; pick the shortest queue, random ties.
-    PortId best = kInvalid;
-    int best_q = 0;
-    int ties = 0;
+    // Distance 2: any neighbor adjacent to the target is a productive
+    // first hop.
     for (PortId p = topo_.p(); p < topo_.radix(); ++p) {
-        if (!router.outputAlive(p))
-            continue;
-        const RouterId n = topo_.neighborAt(cur, p);
-        if (!topo_.adjacent(n, target))
-            continue;
-        const int q = router.estimatedQueue(p);
-        if (best == kInvalid || q < best_q) {
-            best = p;
-            best_q = q;
-            ties = 1;
-        } else if (q == best_q) {
-            ++ties;
-            if (router.rng().nextBounded(ties) == 0)
-                best = p;
-        }
+        if (topo_.adjacent(topo_.neighborAt(cur, p), target))
+            best.offer(p);
     }
-    queue_out = best_q;
     return best;
-}
-
-VcId
-SlimFlyRouting::dateVc(const Flit &flit) const
-{
-    return std::min(flit.hops, numVcs() - 1);
-}
-
-RouteDecision
-SlimFlyRouting::escapeHop(Router &router, Flit &flit) const
-{
-    // Every productive channel has failed: budgeted random escape on
-    // any alive inter-router port, VC date clamped to the top VC
-    // (monotonicity no longer holds; the watchdog backs faulty runs).
-    if (flit.misroutes >= 4 * 2 + 8)
-        return RouteDecision::dropped();
-    PortId pick = kInvalid;
-    int count = 0;
-    for (PortId p = topo_.p(); p < topo_.radix(); ++p) {
-        if (!router.outputAlive(p))
-            continue;
-        ++count;
-        if (router.rng().nextBounded(count) == 0)
-            pick = p;
-    }
-    if (pick == kInvalid)
-        return RouteDecision::dropped(); // no alive channel at all
-    ++flit.misroutes;
-    return {pick, dateVc(flit)};
 }
 
 RouteDecision
@@ -96,11 +33,7 @@ SlimFlyMinimal::route(Router &router, Flit &flit)
     const RouterId dst = dstRouter(flit);
     if (cur == dst)
         return eject(flit);
-    int q = 0;
-    const PortId p = bestMinimalPort(router, dst, q);
-    if (p != kInvalid)
-        return {p, dateVc(flit)};
-    return escapeHop(router, flit);
+    return hopOrEscape(router, flit, bestMinimal(router, dst).port());
 }
 
 RouteDecision
@@ -115,27 +48,17 @@ SlimFlyUgal::route(Router &router, Flit &flit)
         // The minimal-vs-nonminimal choice, made once at the source
         // router: minimize estimated delay = (queue + 1) x hops,
         // like the flattened-butterfly UGAL.
-        constexpr int kDeadQueue = 1 << 20;
-
         const int h_min = topo_.minimalHops(cur, dst);
-        int q_min = 0;
-        if (bestMinimalPort(router, dst, q_min) == kInvalid)
-            q_min = kDeadQueue; // every productive channel failed
+        const int q_min = bestMinimal(router, dst).queue();
 
         const auto b = static_cast<RouterId>(
             router.rng().nextBounded(topo_.numRouters()));
         const int h_val =
             topo_.minimalHops(cur, b) + topo_.minimalHops(b, dst);
-        int q_val = q_min;
-        if (b != cur) {
-            int q = 0;
-            q_val = bestMinimalPort(router, b, q) != kInvalid
-                        ? q
-                        : kDeadQueue;
-        }
+        const int q_val =
+            b != cur ? bestMinimal(router, b).queue() : q_min;
 
-        if (static_cast<long>(q_min + 1) * h_min <=
-            static_cast<long>(q_val + 1) * h_val) {
+        if (ugalPrefersMinimal(q_min, h_min, q_val, h_val)) {
             flit.routeMode = kModeMinimal;
         } else {
             flit.routeMode = kModeNonminimal;
@@ -151,11 +74,7 @@ SlimFlyUgal::route(Router &router, Flit &flit)
         if (flit.phase == 0)
             target = flit.intermediate;
     }
-    int q = 0;
-    const PortId p = bestMinimalPort(router, target, q);
-    if (p != kInvalid)
-        return {p, dateVc(flit)};
-    return escapeHop(router, flit);
+    return hopOrEscape(router, flit, bestMinimal(router, target).port());
 }
 
 } // namespace fbfly

@@ -15,43 +15,34 @@
  * estimated delay = (queue + 1) x hops like the flattened-butterfly
  * UGAL (routing/ugal.cc).
  *
- * Fault handling follows GhcAdaptive: dead channels are masked from
- * the candidate sets; when every productive channel is dead the
- * packet takes a budgeted random escape hop with the VC date clamped
- * to the top VC (watchdog-backed, docs/FAULTS.md).
+ * Dead channels are masked from the candidate sets; when every
+ * productive channel is dead the packet escapes as in every VC-dated
+ * family (routing/dated_routing.h).
  */
 
 #ifndef FBFLY_ROUTING_SLIM_FLY_ROUTING_H
 #define FBFLY_ROUTING_SLIM_FLY_ROUTING_H
 
-#include "routing/routing.h"
+#include "routing/dated_routing.h"
 #include "topology/slim_fly.h"
 
 namespace fbfly
 {
 
 /** Shared machinery of the Slim Fly algorithms. */
-class SlimFlyRouting : public RoutingAlgorithm
+class SlimFlyRouting : public DatedRouting<SlimFly>
 {
   protected:
-    explicit SlimFlyRouting(const SlimFly &topo) : topo_(topo) {}
+    explicit SlimFlyRouting(const SlimFly &topo)
+        : DatedRouting(topo, 2)
+    {
+    }
 
-    RouterId dstRouter(const Flit &flit) const;
-    RouteDecision eject(const Flit &flit) const;
     /** Best alive productive port toward @p target: the direct
      *  channel when adjacent, else the shortest-queue common
-     *  neighbor (random tie-break).  kInvalid when every productive
-     *  channel is dead; @p queue_out reports the winner's estimated
-     *  queue. */
-    PortId bestMinimalPort(Router &router, RouterId target,
-                           int &queue_out) const;
-    /** VC date: inter-router hops taken so far, clamped to the VC
-     *  range (the clamp only engages on fault escapes). */
-    VcId dateVc(const Flit &flit) const;
-    /** Random alive inter-router port under the misroute budget. */
-    RouteDecision escapeHop(Router &router, Flit &flit) const;
-
-    const SlimFly &topo_;
+     *  neighbor (random tie-break); kInvalid when every productive
+     *  channel is dead. */
+    ShortestQueue bestMinimal(Router &router, RouterId target) const;
 };
 
 /**

@@ -24,34 +24,20 @@ Ugal::route(Router &router, Flit &flit)
         if (cur == dst) {
             flit.routeMode = kModeMinimal;
         } else {
-            // A path whose first channel has failed is estimated at a
-            // prohibitive queue so the alternative wins unless it is
-            // equally dead (then minimalHop's escape machinery takes
-            // over anyway).
-            constexpr int kDeadQueue = 1 << 20;
-
+            // A dead first hop is priced at kDeadQueue, so the
+            // alternative wins unless it is equally dead (then
+            // minimalHop's escape takes over anyway).
             const int h_min = topo_.minimalHops(cur, dst);
-            int q_min = 0;
-            if (bestProductive(router, dst, q_min) == kInvalid)
-                q_min = kDeadQueue; // every productive channel failed
+            const int q_min = bestProductive(router, dst).queue();
 
             const auto b = static_cast<RouterId>(
                 router.rng().nextBounded(topo_.numRouters()));
             const int h_val =
                 topo_.minimalHops(cur, b) + topo_.minimalHops(b, dst);
-            int q_val = q_min;
-            if (b != cur) {
-                const PortId pb = dorPort(cur, b);
-                q_val = router.outputAlive(pb)
-                            ? router.estimatedQueue(pb)
-                            : kDeadQueue;
-            }
+            const int q_val =
+                b != cur ? firstHopQueue(router, dorPort(cur, b)) : q_min;
 
-            // Estimated delay = (queue + the hop itself) x hops;
-            // counting the hop keeps empty-queue comparisons honest
-            // (an empty non-minimal path still costs h_val cycles).
-            if (static_cast<long>(q_min + 1) * h_min <=
-                static_cast<long>(q_val + 1) * h_val) {
+            if (ugalPrefersMinimal(q_min, h_min, q_val, h_val)) {
                 flit.routeMode = kModeMinimal;
             } else {
                 flit.routeMode = kModeNonminimal;

@@ -12,6 +12,7 @@
 
 #include "fault/fault_model.h"
 #include "network/network.h"
+#include "routing/clos_ad.h"
 #include "routing/ghc_adaptive.h"
 #include "routing/min_adaptive.h"
 #include "routing/ugal.h"
@@ -69,6 +70,10 @@ TEST_P(AdaptiveAroundDeadLink, DeliversEverythingAndMasksDeadPort)
         algo = std::make_unique<MinAdaptive>(topo);
     else if (GetParam() == "ugal")
         algo = std::make_unique<Ugal>(topo, false);
+    else if (GetParam() == "ugals")
+        algo = std::make_unique<Ugal>(topo, true);
+    else if (GetParam() == "closad")
+        algo = std::make_unique<ClosAd>(topo);
     else
         algo = std::make_unique<Valiant>(topo);
 
@@ -101,7 +106,8 @@ TEST_P(AdaptiveAroundDeadLink, DeliversEverythingAndMasksDeadPort)
 }
 
 INSTANTIATE_TEST_SUITE_P(FaultRouting, AdaptiveAroundDeadLink,
-                         ::testing::Values("minad", "ugal", "val"));
+                         ::testing::Values("minad", "ugal", "val",
+                                           "ugals", "closad"));
 
 TEST(FaultRouting, GhcAdaptiveRoutesAroundDeadLink)
 {

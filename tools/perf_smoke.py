@@ -21,11 +21,12 @@ and series must be present with an equal value; gauges and series
 the baseline lacks are allowed (new observability never invalidates
 the pinned results), new counters are not.
 
-Degradation sweeps (``bench: degradation_sweep``, e.g. the committed
-BENCH_degradation_sweep.json) carry no rate data at all; the same
+Degradation and resilience sweeps (``bench: degradation_sweep`` or
+``resilience_sweep``, e.g. the committed BENCH_degradation_sweep.json
+and BENCH_resilience_sweep.json) carry no rate data at all; the same
 exact-equality lane is their whole check — every point's throughput,
-latency, status and delivery audit under the deterministic fault sets
-must equal the baseline's.
+latency, status, link-retry counters and delivery audit under the
+deterministic fault sets and error rates must equal the baseline's.
 
 Documents carrying xscale metadata (``xscale_shard_speedup_8`` from
 bench/xscale_sweep) additionally get two self-relative lanes that
@@ -41,10 +42,11 @@ Design-search documents (``schema: fbfly-pareto-v1`` from
 bench/design_search) take a dedicated lane instead of the rate
 comparison: the run's metadata must be internally consistent
 (candidates >= survivors >= frontier >= 1, pruned + swept =
-enumerated) and must match the committed BENCH_design_search.json
-counts and family coverage exactly — the document is bit-identical
-for any --threads/--shards, so any drift is a real behavior change,
-not noise.
+enumerated, every required family swept), and every top-level field
+but ``git`` (spec, seed, metadata, candidates, points, frontier) must
+equal the committed BENCH_design_search.json exactly — the document
+is bit-identical for any --threads/--shards, so any drift is a real
+behavior change, not noise.
 
 The committed baseline (BENCH_micro_kernel.json) is recorded on a
 quiet dedicated machine; CI runners are slower and noisy, so the
@@ -63,7 +65,7 @@ XSCALE_MIN_THREADS = 8
 XSCALE_RSS_CEILING = 16 * 1024  # bytes per terminal
 # Benches whose documents carry no rate data: the exact-equality lane
 # is their whole check.
-EXACT_ONLY_BENCHES = ("degradation_sweep",)
+EXACT_ONLY_BENCHES = ("degradation_sweep", "resilience_sweep")
 
 
 def load_doc(path):
@@ -151,7 +153,8 @@ def xscale_checks(meta):
 
 
 def equality_checks(doc, base_doc):
-    """Exact lane (churn and degradation sweeps): every point equals
+    """Exact lane (churn, degradation and resilience sweeps): every
+    point equals
     the baseline's point exactly, apart from wall_seconds and metric
     gauges/series the baseline does not have."""
     failures = []
@@ -200,12 +203,32 @@ def equality_checks(doc, base_doc):
 PARETO_COUNT_KEYS = ("candidates_enumerated", "candidates_pruned",
                      "survivors_swept", "frontier_size")
 PARETO_REQUIRED_FAMILIES = ("fbfly", "dragonfly", "slimfly")
+# The only top-level field of a design-search document that may
+# differ from the baseline: the source revision it was built from.
+PARETO_UNPINNED_FIELDS = ("git",)
 
 
-def pareto_checks(meta, base_meta):
+def first_difference(cur, base, path):
+    """Path and values of the first place two JSON values differ."""
+    if isinstance(cur, dict) and isinstance(base, dict):
+        for key in sorted(set(cur) | set(base)):
+            if cur.get(key) != base.get(key):
+                return first_difference(cur.get(key), base.get(key),
+                                        f"{path}.{key}")
+    if (isinstance(cur, list) and isinstance(base, list)
+            and len(cur) == len(base)):
+        for i, (c, b) in enumerate(zip(cur, base)):
+            if c != b:
+                return first_difference(c, b, f"{path}[{i}]")
+    return f"{path}: {cur!r} != baseline {base!r}"
+
+
+def pareto_checks(doc, base_doc):
     """Design-search lane: metadata sanity plus exact agreement with
-    the committed baseline (the document is deterministic)."""
+    the committed baseline on every top-level field but ``git`` (the
+    document is deterministic)."""
     failures = []
+    meta = doc.get("metadata", {})
     counts = {}
     for key in PARETO_COUNT_KEYS:
         value = meta.get(key)
@@ -237,16 +260,19 @@ def pareto_checks(meta, base_meta):
         if fam not in family_set:
             failures.append(f"family '{fam}' missing from "
                             f"families '{families}'")
-    for key in PARETO_COUNT_KEYS + ("families",):
-        base = base_meta.get(key)
-        cur = meta.get(key)
-        if base is None:
+    for key in sorted(set(doc) | set(base_doc)):
+        if key in PARETO_UNPINNED_FIELDS:
+            continue
+        if key not in base_doc:
             failures.append(f"{key}: missing from baseline")
             continue
-        status = "ok" if cur == base else "FAIL"
-        print(f"{status:>4}  {key}: {cur} vs baseline {base}")
-        if cur != base:
-            failures.append(f"{key}: {cur} != baseline {base}")
+        same = doc.get(key) == base_doc[key]
+        status = "ok" if same else "FAIL"
+        print(f"{status:>4}  {key}: "
+              f"{'equal to' if same else 'differs from'} baseline")
+        if not same:
+            failures.append(first_difference(doc.get(key),
+                                             base_doc[key], key))
     return failures
 
 
@@ -259,8 +285,7 @@ def main(argv):
             sys.exit(f"usage: {argv[0]} CURRENT.json BASELINE.json "
                      "(pareto documents need the baseline)")
         baseline_doc = load_doc(argv[2])
-        return report(pareto_checks(current_doc.get("metadata", {}),
-                                    baseline_doc.get("metadata", {})))
+        return report(pareto_checks(current_doc, baseline_doc))
     baseline_path = argv[2] if len(argv) == 3 else \
         "BENCH_micro_kernel.json"
     baseline_doc = load_doc(baseline_path)
