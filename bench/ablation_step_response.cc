@@ -13,11 +13,11 @@
  */
 
 #include <cstdio>
+#include <memory>
 #include <vector>
 
-#include "network/network.h"
+#include "harness/experiment.h"
 #include "obs/metrics.h"
-#include "obs/obs_sampler.h"
 #include "routing/clos_ad.h"
 #include "routing/min_adaptive.h"
 #include "routing/ugal.h"
@@ -54,8 +54,9 @@ constexpr int kWindow = 200;
 constexpr int kPhase = 2000;
 constexpr double kLoad = 0.4;
 
-/** The run's per-window series (obs.window_latency, obs.backlog). */
-MetricsRegistry
+/** The run's metrics, with the per-window series
+ *  (obs.window_latency, obs.backlog). */
+std::shared_ptr<const MetricsRegistry>
 run(RoutingAlgorithm &algo, const FlattenedButterfly &topo)
 {
     UniformRandom ur(topo.numNodes());
@@ -63,24 +64,29 @@ run(RoutingAlgorithm &algo, const FlattenedButterfly &topo)
     PatternSwitch pattern(topo.numNodes(), &ur);
 
     NetworkConfig cfg;
-    cfg.numVcs = algo.numVcs();
     cfg.vcDepth = 32 / algo.numVcs();
-    cfg.seed = 2007;
-    Network net(topo, algo, &pattern, cfg);
-    BernoulliInjection inj(kLoad, 1, 77);
-    MetricsRegistry series;
-    ObsSampler sampler(net, series, kWindow);
+    ExperimentConfig expcfg;
+    expcfg.warmupCycles = 0;
+    expcfg.measureCycles = 3 * kPhase;
+    expcfg.drainCycles = 0;
+    expcfg.seed = 2007;
+    // No delivery audit: the run is cut off undrained, and the
+    // oracle would nearly double its time.
+    expcfg.verifyDelivery = false;
+    expcfg.obs.metricsEnabled = true;
+    expcfg.obs.metricsWindowCycles = kWindow;
 
-    for (int c = 0; c < 3 * kPhase; ++c) {
-        if (c == kPhase)
+    BernoulliInjection inj(kLoad, 1, 77);
+    LoadPointHooks hooks;
+    hooks.inject = [&](Network &net, bool measuring) {
+        if (net.now() == kPhase)
             pattern.set(&wc);
-        if (c == 2 * kPhase)
+        if (net.now() == 2 * kPhase)
             pattern.set(&ur);
-        inj.tick(net, true);
-        net.step();
-        sampler.tick();
-    }
-    return series;
+        inj.tick(net, measuring);
+    };
+    return driveLoadPoint(topo, algo, pattern, cfg, expcfg, hooks)
+        .metrics;
 }
 
 /** Window values of series @p name. */
@@ -106,12 +112,11 @@ main()
                 "%d-cycle window)\n\n",
                 kPhase, 2 * kPhase, kWindow);
 
-    const MetricsRegistry runs[] = {run(min_ad, topo),
-                                    run(ugal_s, topo),
-                                    run(clos_ad, topo)};
-    const std::vector<double> &a = values(runs[0], "obs.window_latency");
-    const std::vector<double> &b = values(runs[1], "obs.window_latency");
-    const std::vector<double> &c = values(runs[2], "obs.window_latency");
+    const std::shared_ptr<const MetricsRegistry> runs[] = {
+        run(min_ad, topo), run(ugal_s, topo), run(clos_ad, topo)};
+    const std::vector<double> &a = values(*runs[0], "obs.window_latency");
+    const std::vector<double> &b = values(*runs[1], "obs.window_latency");
+    const std::vector<double> &c = values(*runs[2], "obs.window_latency");
 
     std::printf("%8s %12s %12s %12s\n", "cycle", "MIN AD", "UGAL-S",
                 "CLOS AD");
@@ -125,8 +130,8 @@ main()
                 "(packets still queued per node):\n");
     const std::size_t end_wc = 2 * kPhase / kWindow - 1;
     std::printf("  MIN AD %.1f   UGAL-S %.2f   CLOS AD %.2f\n",
-                values(runs[0], "obs.backlog")[end_wc] / 1024.0,
-                values(runs[1], "obs.backlog")[end_wc] / 1024.0,
-                values(runs[2], "obs.backlog")[end_wc] / 1024.0);
+                values(*runs[0], "obs.backlog")[end_wc] / 1024.0,
+                values(*runs[1], "obs.backlog")[end_wc] / 1024.0,
+                values(*runs[2], "obs.backlog")[end_wc] / 1024.0);
     return 0;
 }

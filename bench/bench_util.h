@@ -295,10 +295,13 @@ printLoadRecords(const std::vector<SweepPointRecord> &records)
 
 /**
  * Wrap-up shared by the simulated benches: report the parallel
- * timing and write the JSON document when requested.
+ * timing, merge the per-point traces (--trace) and write the JSON
+ * document (--json) for @p records, executed on @p threads workers
+ * in @p wall_seconds.
  */
 inline void
-finishBench(const SweepEngine &engine, const BenchOptions &opt,
+finishBench(const std::vector<SweepPointRecord> &records, int threads,
+            double wall_seconds, const BenchOptions &opt,
             const std::string &bench_name,
             const std::string &description = std::string(),
             std::vector<std::pair<std::string, std::string>> extra =
@@ -306,34 +309,27 @@ finishBench(const SweepEngine &engine, const BenchOptions &opt,
             std::vector<std::pair<std::string, double>>
                 extra_numbers = {})
 {
+    double serial = 0.0;
+    for (const auto &rec : records)
+        serial += rec.wallSeconds;
     std::printf("\n# %zu points, %d thread(s): %.2fs wall "
                 "(serial-equivalent %.2fs, speedup %.2fx)\n",
-                engine.records().size(), engine.threads(),
-                engine.totalWallSeconds(),
-                engine.pointWallSecondsSum(),
-                engine.totalWallSeconds() > 0.0
-                    ? engine.pointWallSecondsSum() /
-                          engine.totalWallSeconds()
-                    : 0.0);
+                records.size(), threads, wall_seconds, serial,
+                wall_seconds > 0.0 ? serial / wall_seconds : 0.0);
 
     // Merge per-point traces (strictly in point-index order — the
     // determinism contract) into one Perfetto-loadable file.
     std::string trace_file;
     if (opt.trace) {
         std::vector<TracePoint> points;
-        points.reserve(engine.records().size());
-        for (const auto &rec : engine.records()) {
-            TracePoint pt;
-            pt.label = "point " + std::to_string(rec.index) + ": " +
-                       rec.series;
-            if (rec.kind == SweepPointKind::kLoadPoint) {
-                char load[32];
-                std::snprintf(load, sizeof load, " @ %.3g",
-                              rec.load.offered);
-                pt.label += load;
-                pt.trace = rec.load.trace.get();
-            }
-            points.push_back(std::move(pt));
+        points.reserve(records.size());
+        for (const auto &rec : records) {
+            char load[32];
+            std::snprintf(load, sizeof load, " @ %.3g",
+                          rec.load.offered);
+            points.push_back({"point " + std::to_string(rec.index) +
+                                  ": " + rec.series + load,
+                              rec.load.trace.get()});
         }
         trace_file = opt.traceOut.empty()
                          ? bench_name + ".trace.json"
@@ -353,8 +349,25 @@ finishBench(const SweepEngine &engine, const BenchOptions &opt,
     meta.extra = std::move(extra);
     meta.extraNumbers = std::move(extra_numbers);
     meta.traceFile = trace_file;
-    if (writeSweepResults(opt.jsonPath, meta, engine))
+    if (writeSweepResults(opt.jsonPath, meta, records, opt.seed,
+                          threads, wall_seconds))
         std::printf("# wrote %s\n", opt.jsonPath.c_str());
+}
+
+/** finishBench for a completed SweepEngine. */
+inline void
+finishBench(const SweepEngine &engine, const BenchOptions &opt,
+            const std::string &bench_name,
+            const std::string &description = std::string(),
+            std::vector<std::pair<std::string, std::string>> extra =
+                {},
+            std::vector<std::pair<std::string, double>>
+                extra_numbers = {})
+{
+    finishBench(engine.records(), engine.threads(),
+                engine.totalWallSeconds(), opt, bench_name,
+                description, std::move(extra),
+                std::move(extra_numbers));
 }
 
 } // namespace fbfly::bench

@@ -113,63 +113,29 @@ main(int argc, char **argv)
         // live in the point's churn extension block.
         std::printf("    %s\n", rec.extraJson.c_str());
     }
-    std::printf("\n# %zu points, %d thread(s): %.2fs wall\n",
-                records.size(),
-                ThreadPool::resolveThreads(opt.threads), wall);
-
-    // Merge per-point flit traces (index order — the determinism
-    // contract) into one Perfetto-loadable file.
-    std::string trace_file;
-    if (opt.trace) {
-        std::vector<TracePoint> points;
-        points.reserve(records.size());
-        for (const auto &rec : records) {
-            TracePoint pt;
-            pt.label = "point " + std::to_string(rec.index) + ": " +
-                       rec.series;
-            pt.trace = rec.load.trace.get();
-            points.push_back(std::move(pt));
-        }
-        trace_file = opt.traceOut.empty() ? "churn_sweep.trace.json"
-                                          : opt.traceOut;
-        if (writeChromeTrace(trace_file, points))
-            std::printf("# wrote %s (open in ui.perfetto.dev)\n",
-                        trace_file.c_str());
-        else
-            trace_file.clear();
-    }
-
-    if (!opt.jsonPath.empty()) {
-        SweepRunMeta meta;
-        meta.bench = "churn_sweep";
-        meta.description =
-            "long-horizon link/router churn with repair, diurnal "
-            "load, epoch-driven routing adaptation and recovery-time "
-            "SLOs (8-ary 2-flat, uniform random)";
-        meta.traceFile = trace_file;
-        const auto num = [](double v) {
-            char buf[32];
-            std::snprintf(buf, sizeof buf, "%g", v);
-            return std::string(buf);
-        };
-        meta.extra = {
+    const auto num = [](double v) {
+        char buf[32];
+        std::snprintf(buf, sizeof buf, "%g", v);
+        return std::string(buf);
+    };
+    finishBench(
+        records, ThreadPool::resolveThreads(opt.threads), wall, opt,
+        "churn_sweep",
+        "long-horizon link/router churn with repair, diurnal "
+        "load, epoch-driven routing adaptation and recovery-time "
+        "SLOs (8-ary 2-flat, uniform random)",
+        {
             {"warmup_cycles",
              std::to_string(cfg.run.expcfg.warmupCycles)},
             {"horizon_cycles",
              std::to_string(cfg.run.expcfg.measureCycles)},
             {"base_load", num(cfg.run.baseLoad)},
             {"peak_load", num(cfg.run.peakLoad)},
-            {"diurnal_period",
-             std::to_string(cfg.run.diurnalPeriod)},
+            {"diurnal_period", std::to_string(cfg.run.diurnalPeriod)},
             {"epoch_cycles", std::to_string(cfg.run.epochCycles)},
             {"recovery_window",
              std::to_string(cfg.run.recoveryWindow)},
             {"recovery_fraction", num(cfg.run.recoveryFraction)},
-        };
-        if (writeSweepResults(opt.jsonPath, meta, records, opt.seed,
-                              ThreadPool::resolveThreads(opt.threads),
-                              wall))
-            std::printf("# wrote %s\n", opt.jsonPath.c_str());
-    }
+        });
     return 0;
 }

@@ -83,16 +83,9 @@ main(int argc, char **argv)
                         pt.lowLoad.measuredDropped));
     }
 
-    if (!opt.jsonPath.empty()) {
-        SweepRunMeta meta;
-        meta.bench = "degradation_sweep";
-        meta.description =
-            "graceful degradation under random link failures "
-            "(8-ary 2-flat, uniform random)";
-        if (writeSweepResults(opt.jsonPath, meta, records, opt.seed,
-                              ThreadPool::resolveThreads(opt.threads),
-                              wall))
-            std::printf("# wrote %s\n", opt.jsonPath.c_str());
-    }
+    finishBench(records, ThreadPool::resolveThreads(opt.threads), wall,
+                opt, "degradation_sweep",
+                "graceful degradation under random link failures "
+                "(8-ary 2-flat, uniform random)");
     return 0;
 }

@@ -98,18 +98,11 @@ main(int argc, char **argv)
                     clean ? "clean" : "DIRTY");
     }
 
-    if (!opt.jsonPath.empty()) {
-        SweepRunMeta meta;
-        meta.bench = "resilience_sweep";
-        meta.description =
-            "latency/throughput inflation and retransmission cost "
-            "versus transient bit-error rate (8-ary 2-flat, uniform "
-            "random, link-level retry enabled)";
-        meta.extra = resilienceMetadata(cfg);
-        if (writeSweepResults(opt.jsonPath, meta, records, opt.seed,
-                              ThreadPool::resolveThreads(opt.threads),
-                              wall))
-            std::printf("# wrote %s\n", opt.jsonPath.c_str());
-    }
+    finishBench(records, ThreadPool::resolveThreads(opt.threads), wall,
+                opt, "resilience_sweep",
+                "latency/throughput inflation and retransmission cost "
+                "versus transient bit-error rate (8-ary 2-flat, "
+                "uniform random, link-level retry enabled)",
+                resilienceMetadata(cfg));
     return 0;
 }

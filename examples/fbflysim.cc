@@ -21,6 +21,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -157,12 +158,14 @@ runPoint(const Options &opt, const NetworkBundle &bundle,
 
     const std::uint64_t inj_seed = opt.seed ^ kInjectionSeedSalt;
     BernoulliInjection bern(offered, opt.packet, inj_seed);
-    OnOffInjection bursty(offered, std::max(opt.burst, 1.0),
-                          opt.packet, inj_seed);
+    std::optional<OnOffInjection> bursty;
+    if (opt.burst > 0.0)
+        bursty.emplace(offered, std::max(opt.burst, 1.0), opt.packet,
+                       inj_seed);
     LoadPointHooks hooks;
     hooks.inject = [&](Network &net, bool measuring) {
-        if (opt.burst > 0.0)
-            bursty.tick(net, measuring);
+        if (bursty.has_value())
+            bursty->tick(net, measuring);
         else
             bern.tick(net, measuring);
     };
@@ -233,9 +236,10 @@ main(int argc, char **argv)
         const LoadPointResult r =
             runPoint(opt, bundle, *pattern, load,
                      opt.channels ? &max_chan : nullptr);
-        if (r.saturated || r.measuredPackets == 0) {
+        if (!r.latencyValid()) {
             std::printf("%10.3f %10.4f %12s %10s %6s", r.offered,
-                        r.accepted, "-", "-", "yes");
+                        r.accepted, "-", "-",
+                        r.valid() ? "yes" : toString(r.status));
         } else {
             std::printf("%10.3f %10.4f %12.2f %10.2f %6s",
                         r.offered, r.accepted, r.avgLatency,

@@ -1,5 +1,6 @@
 #include "harness/experiment.h"
 
+#include <algorithm>
 #include <optional>
 
 #include "common/log.h"
@@ -345,23 +346,36 @@ runBatch(const Topology &topo, RoutingAlgorithm &algo,
          const TrafficPattern &pattern, NetworkConfig netcfg,
          std::uint64_t seed, int batch_size, Cycle max_cycles)
 {
-    netcfg.numVcs = algo.numVcs();
-    netcfg.seed = seed;
-    Network net(topo, algo, &pattern, netcfg);
-
-    loadBatch(net, batch_size, true);
-    while (!net.quiescent()) {
-        FBFLY_ASSERT(net.now() < max_cycles,
-                     "batch run exceeded ", max_cycles,
-                     " cycles (livelock or saturation bug?)");
-        net.step();
-    }
+    ExperimentConfig expcfg;
+    expcfg.warmupCycles = 0;
+    expcfg.measureCycles = 1;
+    // One measure cycle plus at most max_cycles - 1 drain cycles.
+    expcfg.drainCycles = static_cast<int>(
+        std::min<Cycle>(max_cycles, std::numeric_limits<int>::max()) -
+        1);
+    expcfg.seed = seed;
 
     BatchResult res;
     res.batchSize = batch_size;
-    res.completionTime = net.now();
+    LoadPointHooks hooks;
+    hooks.inject = [batch_size](Network &net, bool measuring) {
+        if (measuring)
+            loadBatch(net, batch_size, true);
+    };
+    hooks.finish = [&res](const Network &net, MetricsRegistry *) {
+        res.completionTime = net.now();
+    };
+    res.load =
+        driveLoadPoint(topo, algo, pattern, netcfg, expcfg, hooks);
     res.normalizedLatency =
-        static_cast<double>(net.now()) / batch_size;
+        static_cast<double>(res.completionTime) / batch_size;
+    // driveLoadPoint's accepted rate covers the one-cycle window; a
+    // batch's throughput spans the whole run.
+    if (res.load.valid()) {
+        res.load.accepted =
+            static_cast<double>(netcfg.packetSize) * batch_size /
+            static_cast<double>(res.completionTime);
+    }
     return res;
 }
 

@@ -13,9 +13,13 @@
  * measurement window; a bounded drain detects saturation (labeled
  * packets that never leave).
  *
- * Batch: loadBatch() + runBatch() measure the time to deliver a
- * fixed batch, normalized by batch size — the dynamic-response /
- * transient-load-imbalance experiment of Figure 5.
+ * Batch: runBatch() measures the time to deliver a fixed batch,
+ * normalized by batch size — the dynamic-response /
+ * transient-load-imbalance experiment of Figure 5.  It composes the
+ * same schedule: the batch is loaded (labeled) in a one-cycle
+ * measurement window and the drain runs until every batch packet
+ * has left, so a batch run gets the same pre-flight validation,
+ * delivery audit, liveness classifier and status as a load point.
  */
 
 #ifndef FBFLY_HARNESS_EXPERIMENT_H
@@ -230,12 +234,18 @@ struct LoadPointResult
 };
 
 /**
- * Result of one batch run.
+ * Result of one batch run: driveLoadPoint's result plus the batch size
+ * and completion time.
  */
 struct BatchResult
 {
+    /** The run's status, delivery audit, liveness, link counters and
+     *  latency statistics.  `accepted` is the batch throughput,
+     *  packetSize * batchSize / completionTime flits/node/cycle. */
+    LoadPointResult load;
     int batchSize = 0;
-    /** Cycles from time zero until the whole batch is delivered. */
+    /** Cycles from time zero until the whole batch is delivered (for
+     *  a batch that did not finish: until the run ended). */
     Cycle completionTime = 0;
     /** completionTime / batchSize (Figure 5's y-axis). */
     double normalizedLatency = 0.0;
@@ -323,10 +333,12 @@ double measureSaturationThroughput(const Topology &topo,
                                    const ExperimentConfig &expcfg);
 
 /**
- * Deliver a batch of @p batch_size packets per node and report the
- * normalized completion time (Figure 5).
+ * Deliver a batch of @p batch_size packets per node through
+ * driveLoadPoint and report the normalized completion time
+ * (Figure 5).
  *
- * @param max_cycles safety bound on the run length.
+ * @param max_cycles bound on the run length; a batch still in
+ *        flight at this cycle ends the run as kSaturated.
  */
 BatchResult runBatch(const Topology &topo, RoutingAlgorithm &algo,
                      const TrafficPattern &pattern,

@@ -51,12 +51,11 @@ writePoint(std::ostringstream &os, const SweepPointRecord &rec)
     os << ", \"seed\": " << rec.seed << ", \"wall_seconds\": ";
     jsonAppendNumber(os, rec.wallSeconds);
     if (rec.kind == SweepPointKind::kBatch) {
-        os << ", \"batch_size\": " << rec.batch.batchSize
-           << ", \"completion_cycles\": " << rec.batch.completionTime
+        os << ", \"batch_size\": " << rec.batchSize
+           << ", \"completion_cycles\": " << rec.completionTime
            << ", \"normalized_latency\": ";
-        jsonAppendNumber(os, rec.batch.normalizedLatency);
-        os << "}";
-        return;
+        jsonAppendNumber(os, static_cast<double>(rec.completionTime) /
+                                 rec.batchSize);
     }
     const LoadPointResult &r = rec.load;
     os << ", \"offered\": ";
@@ -210,15 +209,6 @@ writeSweepResults(const std::string &path, const SweepRunMeta &meta,
         return false;
     }
     return true;
-}
-
-bool
-writeSweepResults(const std::string &path, const SweepRunMeta &meta,
-                  const SweepEngine &engine)
-{
-    return writeSweepResults(path, meta, engine.records(),
-                             engine.masterSeed(), engine.threads(),
-                             engine.totalWallSeconds());
 }
 
 } // namespace fbfly

@@ -5,8 +5,9 @@
  * Emits one JSON document per sweep run ("fbfly-sweep-v1" schema):
  * run metadata (bench name, master seed, thread count, git describe,
  * wall time, parallel speedup) plus one object per executed point —
- * offered/accepted/latency/p99/status/wall-time for load points,
- * batch size/completion/normalized latency for batch runs.
+ * offered/accepted/latency/p99/status/delivery/wall-time for every
+ * point, plus batch size/completion/normalized latency for batch
+ * runs.
  *
  * NaN statistics (a run's validity convention, see
  * LoadPointResult) serialize as JSON null, never as a number a
@@ -81,11 +82,6 @@ bool writeSweepResults(const std::string &path,
                        const std::vector<SweepPointRecord> &records,
                        std::uint64_t master_seed, int threads,
                        double total_wall_seconds);
-
-/** Convenience overload for a completed SweepEngine. */
-bool writeSweepResults(const std::string &path,
-                       const SweepRunMeta &meta,
-                       const SweepEngine &engine);
 
 } // namespace fbfly
 

@@ -196,8 +196,11 @@ SweepEngine::addBatch(const std::string &series, const Topology &topo,
         series, SweepPointKind::kBatch, topo, algo, pattern);
     jobs_.push_back([&topo, &algo, &pattern, netcfg, batch_size,
                      max_cycles](SweepPointRecord &rec) {
-        rec.batch = runBatch(topo, algo, pattern, netcfg, rec.seed,
-                             batch_size, max_cycles);
+        BatchResult res = runBatch(topo, algo, pattern, netcfg,
+                                   rec.seed, batch_size, max_cycles);
+        rec.load = std::move(res.load);
+        rec.batchSize = res.batchSize;
+        rec.completionTime = res.completionTime;
     });
     return index;
 }

@@ -136,11 +136,14 @@ struct SweepPointRecord
     /** Wall-clock seconds this point took on its worker. */
     double wallSeconds = 0.0;
 
-    /** Valid when kind == kLoadPoint or kChurn (churn points reuse
-     *  the load-point result shape for their steady-state fields). */
+    /** The run's result, whatever the kind (churn points report
+     *  their steady-state fields here; a batch's `accepted` is its
+     *  throughput, see BatchResult). */
     LoadPointResult load;
-    /** Valid when kind == kBatch. */
-    BatchResult batch;
+    /** kBatch only: packets per node and the cycle the batch
+     *  completed (see BatchResult). */
+    int batchSize = 0;
+    Cycle completionTime = 0;
 
     /** Extra kind-specific JSON, spliced verbatim into this point's
      *  object right before its closing brace ("" for none).  Must be

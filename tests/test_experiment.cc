@@ -171,6 +171,23 @@ TEST(Batch, CompletesAndNormalizes)
     EXPECT_GT(r.completionTime, 10u);
     EXPECT_NEAR(r.normalizedLatency,
                 static_cast<double>(r.completionTime) / 10, 1e-12);
+    EXPECT_EQ(r.load.status, LoadPointStatus::kDelivered);
+    ASSERT_TRUE(r.load.deliveryChecked);
+    EXPECT_TRUE(r.load.delivery.clean()) << r.load.delivery.summary();
+    EXPECT_EQ(r.load.delivery.delivered,
+              static_cast<std::uint64_t>(topo.numNodes()) * 10);
+}
+
+TEST(Batch, UnfinishedBatchReportsSaturated)
+{
+    FlattenedButterfly topo(8, 2);
+    Valiant algo(topo);
+    UniformRandom pattern(topo.numNodes());
+    NetworkConfig netcfg;
+    const auto r = runBatch(topo, algo, pattern, netcfg, 7, 10, 20);
+    EXPECT_EQ(r.load.status, LoadPointStatus::kSaturated);
+    EXPECT_TRUE(r.load.saturated);
+    EXPECT_EQ(r.completionTime, 20u);
 }
 
 TEST(Batch, LargerBatchesAmortizeTransients)

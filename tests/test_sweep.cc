@@ -147,13 +147,8 @@ expectIdentical(const SweepPointRecord &a, const SweepPointRecord &b)
     EXPECT_EQ(a.kind, b.kind);
     EXPECT_EQ(a.series, b.series);
     EXPECT_EQ(a.seed, b.seed);
-    if (a.kind == SweepPointKind::kBatch) {
-        EXPECT_EQ(a.batch.batchSize, b.batch.batchSize);
-        EXPECT_EQ(a.batch.completionTime, b.batch.completionTime);
-        EXPECT_EQ(a.batch.normalizedLatency,
-                  b.batch.normalizedLatency);
-        return;
-    }
+    EXPECT_EQ(a.batchSize, b.batchSize);
+    EXPECT_EQ(a.completionTime, b.completionTime);
     const LoadPointResult &x = a.load;
     const LoadPointResult &y = b.load;
     EXPECT_EQ(x.offered, y.offered);
@@ -272,8 +267,8 @@ TEST(SweepEngine, PointRerunAloneReproducesInSweepResult)
     const BatchResult batchAlone =
         runBatch(f.topo, f.val, f.pattern, f.netcfg,
                  derivePointSeed(2007, bi), 20);
-    EXPECT_EQ(batchAlone.completionTime,
-              recs[bi].batch.completionTime);
+    EXPECT_EQ(batchAlone.completionTime, recs[bi].completionTime);
+    EXPECT_EQ(batchAlone.load.accepted, recs[bi].load.accepted);
 }
 
 // ---------------------------------------------------------------------
@@ -351,7 +346,9 @@ TEST(ResultWriter, WritesFileForCompletedEngine)
         testing::TempDir() + "fbfly_sweep_test.json";
     SweepRunMeta meta;
     meta.bench = "unit_file";
-    ASSERT_TRUE(writeSweepResults(path, meta, engine));
+    ASSERT_TRUE(writeSweepResults(path, meta, engine.records(),
+                                  engine.masterSeed(), engine.threads(),
+                                  engine.totalWallSeconds()));
 
     std::ifstream in(path);
     ASSERT_TRUE(in.good());

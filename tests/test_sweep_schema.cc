@@ -92,9 +92,10 @@ makeDocument(const std::string &trace_file)
     batch.index = 2;
     batch.kind = SweepPointKind::kBatch;
     batch.series = "batch";
-    batch.batch.batchSize = 10;
-    batch.batch.completionTime = 123;
-    batch.batch.normalizedLatency = 12.3;
+    BatchResult ran = runBatch(topo, algo, pattern, netcfg, 42, 10);
+    batch.load = std::move(ran.load);
+    batch.batchSize = ran.batchSize;
+    batch.completionTime = ran.completionTime;
     records.push_back(batch);
 
     SweepRunMeta meta;
@@ -247,11 +248,18 @@ TEST(SweepSchema, MetricsObjectShape)
     EXPECT_EQ(root.find("points")->elems[1].find("metrics"),
               nullptr);
 
-    // Batch points carry the batch fields.
+    // Batch points carry the batch fields and the shared ones.
     const Json &batch = root.find("points")->elems[2];
     EXPECT_EQ(batch.find("kind")->str, "batch");
     EXPECT_EQ(batch.find("batch_size")->number, 10.0);
-    EXPECT_EQ(batch.find("completion_cycles")->number, 123.0);
+    const double completion = batch.find("completion_cycles")->number;
+    EXPECT_GT(completion, 10.0);
+    EXPECT_EQ(batch.find("normalized_latency")->number,
+              completion / 10.0);
+    EXPECT_EQ(batch.find("status")->str, "delivered");
+    const Json *delivery = batch.find("delivery");
+    ASSERT_NE(delivery, nullptr);
+    EXPECT_TRUE(delivery->find("clean")->boolean);
 }
 
 } // namespace

@@ -27,6 +27,10 @@ and BENCH_resilience_sweep.json) carry no rate data at all; the same
 exact-equality lane is their whole check — every point's throughput,
 latency, status, link-retry counters and delivery audit under the
 deterministic fault sets and error rates must equal the baseline's.
+Figure 5 (``bench: fig05_dynamic_response``, the committed
+BENCH_fig05_dynamic_response.json) takes the same lane: every batch
+point's completion cycle, normalized latency, status and delivery
+audit must equal the baseline's.
 
 Documents carrying xscale metadata (``xscale_shard_speedup_8`` from
 bench/xscale_sweep) additionally get two self-relative lanes that
@@ -65,7 +69,8 @@ XSCALE_MIN_THREADS = 8
 XSCALE_RSS_CEILING = 16 * 1024  # bytes per terminal
 # Benches whose documents carry no rate data: the exact-equality lane
 # is their whole check.
-EXACT_ONLY_BENCHES = ("degradation_sweep", "resilience_sweep")
+EXACT_ONLY_BENCHES = ("degradation_sweep", "resilience_sweep",
+                      "fig05_dynamic_response")
 
 
 def load_doc(path):
@@ -153,9 +158,8 @@ def xscale_checks(meta):
 
 
 def equality_checks(doc, base_doc):
-    """Exact lane (churn, degradation and resilience sweeps): every
-    point equals
-    the baseline's point exactly, apart from wall_seconds and metric
+    """Exact lane (churn, degradation, resilience and Figure 5
+    sweeps): every point equals the baseline's point exactly, apart from wall_seconds and metric
     gauges/series the baseline does not have."""
     failures = []
     if doc.get("bench") != base_doc.get("bench"):
