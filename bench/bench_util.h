@@ -296,11 +296,11 @@ printLoadRecords(const std::vector<SweepPointRecord> &records)
 /**
  * Wrap-up shared by the simulated benches: report the parallel
  * timing, merge the per-point traces (--trace) and write the JSON
- * document (--json) for @p records, executed on @p threads workers
- * in @p wall_seconds.
+ * document (--json) for @p records, executed on the --threads
+ * workers in @p wall_seconds.
  */
 inline void
-finishBench(const std::vector<SweepPointRecord> &records, int threads,
+finishBench(const std::vector<SweepPointRecord> &records,
             double wall_seconds, const BenchOptions &opt,
             const std::string &bench_name,
             const std::string &description = std::string(),
@@ -309,6 +309,7 @@ finishBench(const std::vector<SweepPointRecord> &records, int threads,
             std::vector<std::pair<std::string, double>>
                 extra_numbers = {})
 {
+    const int threads = ThreadPool::resolveThreads(opt.threads);
     double serial = 0.0;
     for (const auto &rec : records)
         serial += rec.wallSeconds;
@@ -364,9 +365,8 @@ finishBench(const SweepEngine &engine, const BenchOptions &opt,
             std::vector<std::pair<std::string, double>>
                 extra_numbers = {})
 {
-    finishBench(engine.records(), engine.threads(),
-                engine.totalWallSeconds(), opt, bench_name,
-                description, std::move(extra),
+    finishBench(engine.records(), engine.totalWallSeconds(), opt,
+                bench_name, description, std::move(extra),
                 std::move(extra_numbers));
 }
 

@@ -119,8 +119,7 @@ main(int argc, char **argv)
         return std::string(buf);
     };
     finishBench(
-        records, ThreadPool::resolveThreads(opt.threads), wall, opt,
-        "churn_sweep",
+        records, wall, opt, "churn_sweep",
         "long-horizon link/router churn with repair, diurnal "
         "load, epoch-driven routing adaptation and recovery-time "
         "SLOs (8-ary 2-flat, uniform random)",

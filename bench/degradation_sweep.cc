@@ -83,8 +83,7 @@ main(int argc, char **argv)
                         pt.lowLoad.measuredDropped));
     }
 
-    finishBench(records, ThreadPool::resolveThreads(opt.threads), wall,
-                opt, "degradation_sweep",
+    finishBench(records, wall, opt, "degradation_sweep",
                 "graceful degradation under random link failures "
                 "(8-ary 2-flat, uniform random)");
     return 0;

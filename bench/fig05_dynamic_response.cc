@@ -73,9 +73,8 @@ main(int argc, char **argv)
         std::printf("%8d", batches[row]);
         for (std::size_t col = 0; col < kAlgos; ++col) {
             const auto &rec = records[row * kAlgos + col];
-            std::printf(" %10.2f",
-                        static_cast<double>(rec.completionTime) /
-                            rec.batchSize);
+            std::printf(" %10.2f", normalizedLatency(rec.completionTime,
+                                                     rec.batchSize));
         }
         std::printf("\n");
     }

@@ -98,8 +98,7 @@ main(int argc, char **argv)
                     clean ? "clean" : "DIRTY");
     }
 
-    finishBench(records, ThreadPool::resolveThreads(opt.threads), wall,
-                opt, "resilience_sweep",
+    finishBench(records, wall, opt, "resilience_sweep",
                 "latency/throughput inflation and retransmission cost "
                 "versus transient bit-error rate (8-ary 2-flat, "
                 "uniform random, link-level retry enabled)",

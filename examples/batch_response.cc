@@ -50,7 +50,7 @@ main(int argc, char **argv)
         std::printf("%-8s %14llu %18.2f\n", algo->name().c_str(),
                     static_cast<unsigned long long>(
                         r.completionTime),
-                    r.normalizedLatency);
+                    normalizedLatency(r.completionTime, batch));
     }
     std::printf("\nThe greedy UGAL allocator piles every input of a "
                 "router onto the\nsame minimal queue before the "

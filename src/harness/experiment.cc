@@ -367,14 +367,17 @@ runBatch(const Topology &topo, RoutingAlgorithm &algo,
     };
     res.load =
         driveLoadPoint(topo, algo, pattern, netcfg, expcfg, hooks);
-    res.normalizedLatency =
-        static_cast<double>(res.completionTime) / batch_size;
     // driveLoadPoint's accepted rate covers the one-cycle window; a
-    // batch's throughput spans the whole run.
+    // batch's throughput spans the whole run, and a batch that did
+    // not finish only counts the packets it delivered.
     if (res.load.valid()) {
-        res.load.accepted =
-            static_cast<double>(netcfg.packetSize) * batch_size /
-            static_cast<double>(res.completionTime);
+        const double per_node =
+            res.load.status == LoadPointStatus::kDelivered
+                ? batch_size
+                : static_cast<double>(res.load.measuredPackets) /
+                      topo.numNodes();
+        res.load.accepted = netcfg.packetSize * per_node /
+                            static_cast<double>(res.completionTime);
     }
     return res;
 }

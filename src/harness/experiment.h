@@ -14,12 +14,10 @@
  * packets that never leave).
  *
  * Batch: runBatch() measures the time to deliver a fixed batch,
- * normalized by batch size — the dynamic-response /
- * transient-load-imbalance experiment of Figure 5.  It composes the
- * same schedule: the batch is loaded (labeled) in a one-cycle
- * measurement window and the drain runs until every batch packet
- * has left, so a batch run gets the same pre-flight validation,
- * delivery audit, liveness classifier and status as a load point.
+ * normalized by batch size (Figure 5's dynamic response).  It runs
+ * the same schedule, with a one-cycle window that loads the labeled
+ * batch and a drain until the batch has left, so it gets the same
+ * validation, delivery audit, liveness classifier and status.
  */
 
 #ifndef FBFLY_HARNESS_EXPERIMENT_H
@@ -240,16 +238,22 @@ struct LoadPointResult
 struct BatchResult
 {
     /** The run's status, delivery audit, liveness, link counters and
-     *  latency statistics.  `accepted` is the batch throughput,
-     *  packetSize * batchSize / completionTime flits/node/cycle. */
+     *  latency statistics.  `accepted` is the batch's flits per node
+     *  over completionTime (only the delivered packets' flits when
+     *  the batch did not finish). */
     LoadPointResult load;
     int batchSize = 0;
     /** Cycles from time zero until the whole batch is delivered (for
      *  a batch that did not finish: until the run ended). */
     Cycle completionTime = 0;
-    /** completionTime / batchSize (Figure 5's y-axis). */
-    double normalizedLatency = 0.0;
 };
+
+/** Batch completion cycles per packet per node (Figure 5's y-axis). */
+inline double
+normalizedLatency(Cycle completion_time, int batch_size)
+{
+    return static_cast<double>(completion_time) / batch_size;
+}
 
 /** Salt of the load-point injection stream: a run seeded with s
  *  draws its arrivals from seed s ^ kInjectionSeedSalt ("Inject1"). */

@@ -54,8 +54,8 @@ writePoint(std::ostringstream &os, const SweepPointRecord &rec)
         os << ", \"batch_size\": " << rec.batchSize
            << ", \"completion_cycles\": " << rec.completionTime
            << ", \"normalized_latency\": ";
-        jsonAppendNumber(os, static_cast<double>(rec.completionTime) /
-                                 rec.batchSize);
+        jsonAppendNumber(os, normalizedLatency(rec.completionTime,
+                                               rec.batchSize));
     }
     const LoadPointResult &r = rec.load;
     os << ", \"offered\": ";

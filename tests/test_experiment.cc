@@ -169,7 +169,7 @@ TEST(Batch, CompletesAndNormalizes)
     const auto r = runBatch(topo, algo, pattern, netcfg, 7, 10);
     EXPECT_EQ(r.batchSize, 10);
     EXPECT_GT(r.completionTime, 10u);
-    EXPECT_NEAR(r.normalizedLatency,
+    EXPECT_NEAR(normalizedLatency(r.completionTime, r.batchSize),
                 static_cast<double>(r.completionTime) / 10, 1e-12);
     EXPECT_EQ(r.load.status, LoadPointStatus::kDelivered);
     ASSERT_TRUE(r.load.deliveryChecked);
@@ -188,6 +188,12 @@ TEST(Batch, UnfinishedBatchReportsSaturated)
     EXPECT_EQ(r.load.status, LoadPointStatus::kSaturated);
     EXPECT_TRUE(r.load.saturated);
     EXPECT_EQ(r.completionTime, 20u);
+    // Throughput counts only the packets delivered by the cut-off.
+    EXPECT_LT(r.load.measuredPackets,
+              static_cast<std::uint64_t>(topo.numNodes()) * 10);
+    EXPECT_DOUBLE_EQ(r.load.accepted,
+                     static_cast<double>(r.load.measuredPackets) *
+                         netcfg.packetSize / (topo.numNodes() * 20.0));
 }
 
 TEST(Batch, LargerBatchesAmortizeTransients)
@@ -198,9 +204,12 @@ TEST(Batch, LargerBatchesAmortizeTransients)
     NetworkConfig netcfg;
     const auto small = runBatch(topo, algo, wc, netcfg, 7, 1);
     const auto large = runBatch(topo, algo, wc, netcfg, 7, 200);
-    EXPECT_GT(small.normalizedLatency, large.normalizedLatency);
+    const double large_norm =
+        normalizedLatency(large.completionTime, large.batchSize);
+    EXPECT_GT(normalizedLatency(small.completionTime, small.batchSize),
+              large_norm);
     // Large batches approach 1/throughput ~ 2.0 for VAL at 50%.
-    EXPECT_NEAR(large.normalizedLatency, 2.0, 0.5);
+    EXPECT_NEAR(large_norm, 2.0, 0.5);
 }
 
 // --- The five LoadPointStatus exits and the NaN validity contract --

@@ -120,7 +120,8 @@ TEST(Integration, BatchOrderingSignature)
     auto norm = [&](RoutingAlgorithm &a) {
         NetworkConfig cfg;
         cfg.vcDepth = 32 / a.numVcs();
-        return runBatch(topo, a, wc, cfg, 17, 1).normalizedLatency;
+        const BatchResult r = runBatch(topo, a, wc, cfg, 17, 1);
+        return normalizedLatency(r.completionTime, r.batchSize);
     };
 
     Ugal ugal(topo, false);

@@ -310,7 +310,8 @@ TEST(FbflyRoutingTransient, GreedyVsSequentialBatch)
 
     const auto g = runBatch(topo, greedy, pattern, g_cfg, 11, 1);
     const auto s = runBatch(topo, sequential, pattern, s_cfg, 11, 1);
-    EXPECT_GT(g.normalizedLatency, 1.5 * s.normalizedLatency)
+    EXPECT_GT(normalizedLatency(g.completionTime, g.batchSize),
+              1.5 * normalizedLatency(s.completionTime, s.batchSize))
         << "greedy transient imbalance should dominate small "
            "batches";
 }

@@ -51,9 +51,11 @@ loadSchema()
 
 /** A document with one real (obs-enabled) load point, one never-ran
  *  NaN point, and one batch point — covering every branch of the
- *  writer. */
+ *  writer.  @p batch_completion, when given, receives the batch
+ *  run's completion cycle. */
 std::string
-makeDocument(const std::string &trace_file)
+makeDocument(const std::string &trace_file,
+             Cycle *batch_completion = nullptr)
 {
     FlattenedButterfly topo(4, 2);
     MinAdaptive algo(topo);
@@ -97,6 +99,8 @@ makeDocument(const std::string &trace_file)
     batch.batchSize = ran.batchSize;
     batch.completionTime = ran.completionTime;
     records.push_back(batch);
+    if (batch_completion)
+        *batch_completion = ran.completionTime;
 
     SweepRunMeta meta;
     meta.bench = "schema_test";
@@ -225,7 +229,8 @@ TEST(SweepSchema, MetadataNumbersAreNumbersNotStrings)
 
 TEST(SweepSchema, MetricsObjectShape)
 {
-    const std::string doc = makeDocument("");
+    Cycle ran_completion = 0;
+    const std::string doc = makeDocument("", &ran_completion);
     JsonParser parser(doc);
     const Json root = parser.parse();
     const Json &real = root.find("points")->elems[0];
@@ -252,10 +257,14 @@ TEST(SweepSchema, MetricsObjectShape)
     const Json &batch = root.find("points")->elems[2];
     EXPECT_EQ(batch.find("kind")->str, "batch");
     EXPECT_EQ(batch.find("batch_size")->number, 10.0);
-    const double completion = batch.find("completion_cycles")->number;
-    EXPECT_GT(completion, 10.0);
+    EXPECT_GT(ran_completion, 10u);
+    EXPECT_EQ(batch.find("completion_cycles")->number,
+              static_cast<double>(ran_completion));
     EXPECT_EQ(batch.find("normalized_latency")->number,
-              completion / 10.0);
+              static_cast<double>(ran_completion) / 10.0);
+    EXPECT_EQ(batch.find("accepted")->number,
+              NetworkConfig().packetSize * 10.0 /
+                  static_cast<double>(ran_completion));
     EXPECT_EQ(batch.find("status")->str, "delivered");
     const Json *delivery = batch.find("delivery");
     ASSERT_NE(delivery, nullptr);
